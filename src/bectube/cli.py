@@ -741,6 +741,13 @@ COMMANDS = {
 }
 
 
+# failures of the numerics; anything else is a bug and keeps its traceback
+NUMERIC_ERRORS = (geometry.GeometryError, transverse.CrossSectionError,
+                  scaling.ScalingError, nls.NLSError, manybody.ManyBodyError,
+                  condensation.CondensationError, np.linalg.LinAlgError,
+                  FloatingPointError)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bectube",
@@ -766,7 +773,7 @@ def main(argv=None) -> int:
         write_scalars(out, exc.scalars)
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except Exception as exc:  # numerical / module errors
+    except NUMERIC_ERRORS as exc:
         print(f"run failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     write_scalars(out, scalars)

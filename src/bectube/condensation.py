@@ -5,23 +5,21 @@ the number k of particles orthogonal to phi; P_k projects onto that sector,
 f-hat weights the sectors by a table f(k), and alpha_f = <psi, f-hat psi> is
 the resulting condensation measure.  Two realizations are provided: explicit
 dense first-quantized matrices (small N and d, used to check the operator
-identities verbatim) and occupation counting in a rotated Fock basis (scales
-to the exact few-boson simulator).
+identities verbatim) and, on the Fock basis of the exact few-boson simulator,
+the distribution of the number of particles in phi obtained from its binomial
+moments by repeated lowering with a(phi).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import logm
-from scipy.sparse.linalg import expm_multiply
 
-from .manybody import FockBasis, build_basis
+from .manybody import FockBasis, lower
 
 
 class CondensationError(ValueError):
@@ -241,52 +239,35 @@ def reduced_density_dense(psi: np.ndarray, N: int, d: int,
 # Fock-path representation
 
 
-def _dgamma(basis: FockBasis, A: np.ndarray) -> sp.csr_matrix:
-    """Second-quantized one-body generator sum_ij A_ij a+_i a_j (no symmetry
-    assumed on A)."""
-    occ = basis.occupations.astype(np.int64)
-    dim, d = occ.shape
-    rows, cols, vals = [], [], []
-    diag = occ @ np.diag(A)
-    rows.extend(range(dim))
-    cols.extend(range(dim))
-    vals.extend(diag)
-    for i in range(d):
-        for j in range(d):
-            if i == j or abs(A[i, j]) < 1e-16:
-                continue
-            sel = np.nonzero(occ[:, j] > 0)[0]
-            amp = np.sqrt(occ[sel, j] * (occ[sel, i] + 1.0)) * A[i, j]
-            tgt = occ[sel].copy()
-            tgt[:, j] -= 1
-            tgt[:, i] += 1
-            for row, s, a in zip(tgt.astype(np.int8), sel, amp):
-                rows.append(basis.index[row.tobytes()])
-                cols.append(s)
-                vals.append(a)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+def sector_weights(basis: FockBasis, ref: CondensateRef,
+                   psi: np.ndarray) -> np.ndarray:
+    """<psi, P_k psi> for k = 0..N from the binomial moments of n_phi.
 
-
-def rotate_to_reference(basis: FockBasis, ref: CondensateRef,
-                        psi: np.ndarray) -> np.ndarray:
-    """Express psi in the mode basis whose first mode is phi.
-
-    Applies the Fock-space lift of U-dagger: exp(dGamma(log U-dagger)) psi.
+    With a(phi) = sum_i conj(phi_i) a_i, the moments
+    M_j = ||a(phi)^j psi||^2 / j! = <psi, C(n_phi, j) psi> invert to
+    P(n_phi = n) = sum_{j>=n} (-1)^(j-n) C(j, n) M_j, and P_k is the sector
+    n_phi = N - k.  The alternating sum loses up to
+    eps_machine * sum_j C(j, n) M_j to round-off; a bound above 1e-10 is
+    refused rather than clipped.
     """
     if ref.d != basis.d:
         raise CondensationError("reference dimension does not match the basis")
-    A = logm(ref.unitary.conj().T)
-    return expm_multiply(_dgamma(basis, A), np.asarray(psi, dtype=complex))
-
-
-def sector_weights(basis: FockBasis, ref: CondensateRef,
-                   psi: np.ndarray) -> np.ndarray:
-    """<psi, P_k psi> for k = 0..N by occupation counting after rotation."""
-    rotated = rotate_to_reference(basis, ref, psi)
-    n0 = basis.occupations[:, 0].astype(int)
-    pk = np.zeros(basis.N + 1)
-    np.add.at(pk, basis.N - n0, np.abs(rotated) ** 2)
-    return pk
+    N = basis.N
+    v = np.asarray(psi, dtype=complex)
+    moments = [np.vdot(v, v).real]
+    for j in range(1, N + 1):
+        basis, out = lower(basis, v)
+        v = ref.phi.conj() @ out
+        moments.append(np.vdot(v, v).real / factorial(j))
+    n = np.arange(N + 1)
+    binom = np.array([[comb(j, k) for j in n] for k in n], dtype=float)
+    sign = (-1.0) ** (n[None, :] - n[:, None])
+    bound = np.finfo(float).eps * (binom @ moments)
+    if bound.max() > 1e-10:
+        raise CondensationError(
+            f"sector weights lose up to {bound.max():.1e} to cancellation at "
+            f"N = {N}")
+    return ((sign * binom) @ moments)[::-1]
 
 
 def alpha_f(basis: FockBasis, ref: CondensateRef, psi: np.ndarray,

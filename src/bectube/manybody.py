@@ -11,7 +11,7 @@ transverse-excitation probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, factorial
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,9 +78,6 @@ class FockBasis:
     def dim(self) -> int:
         return len(self.occupations)
 
-    def lookup(self, occ: np.ndarray) -> int:
-        return self.index[occ.astype(np.int8).tobytes()]
-
 
 def build_basis(d: int, N: int, cap: int = 10**6) -> FockBasis:
     """Enumerate the symmetric N-particle basis over d modes."""
@@ -114,13 +111,10 @@ def condensate_state(basis: FockBasis, phi: np.ndarray) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     phi = phi / np.linalg.norm(phi)
     N = basis.N
+    occ = basis.occupations.astype(int)
     logfacs = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, N + 1))]))
-    amps = np.empty(basis.dim, dtype=complex)
-    for s, occ in enumerate(basis.occupations):
-        lognorm = 0.5 * (logfacs[N] - sum(logfacs[n] for n in occ))
-        prod = np.prod(phi**occ.astype(int))
-        amps[s] = np.exp(lognorm) * prod
-    return amps
+    lognorm = 0.5 * (logfacs[N] - logfacs[occ].sum(axis=1))
+    return np.exp(lognorm) * np.prod(phi**occ, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +334,6 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, kdim: int = 40,
     T = np.diag(alphas)
     for j in range(len(betas[:k - 1])):
         T[j, j + 1] = T[j + 1, j] = betas[j]
-    small = np.linalg.matrix_power  # noqa: F841  (kept simple below)
     evals, evecs = np.linalg.eigh(T)
     coef = evecs @ (np.exp(-1j * dt * evals) * evecs[0, :].conj())
     out = np.zeros_like(v)
@@ -398,18 +391,25 @@ def evolve_state_dense(H, psi0: np.ndarray, times: Sequence[float]):
 # observables
 
 
-def _lowering_map(basis: FockBasis, basis_minus: FockBasis):
-    """For each mode i, the sparse action of a_i: state -> (target, amp)."""
+def lower(basis: FockBasis, psi: np.ndarray):
+    """Apply every annihilator a_i to psi, an array of shape (..., dim).
+
+    Returns (basis_minus, out): the (N-1)-particle basis and
+    out[..., i, :] = a_i psi on it.  a_i maps basis states one-to-one, so
+    each output entry receives a single amplitude.
+    """
+    basis_minus = build_basis(basis.d, basis.N - 1)
     occ = basis.occupations
-    maps = []
-    for i in range(basis.d):
-        sel = np.nonzero(occ[:, i] > 0)[0]
-        amp = np.sqrt(occ[sel, i].astype(float))
-        tgt = occ[sel].copy()
-        tgt[:, i] -= 1
-        tix = np.array([basis_minus.index[row.tobytes()] for row in tgt])
-        maps.append((sel, tix, amp))
-    return maps
+    src, mode = np.nonzero(occ)
+    amp = np.sqrt(occ[src, mode].astype(float))
+    tgt_occ = occ[src]
+    tgt_occ[np.arange(len(src)), mode] -= 1
+    tgt = np.fromiter((basis_minus.index[row.tobytes()] for row in tgt_occ),
+                      dtype=np.intp, count=len(src))
+    psi = np.asarray(psi)
+    out = np.zeros(psi.shape[:-1] + (basis.d, basis_minus.dim), dtype=complex)
+    out[..., mode, tgt] = amp * psi[..., src]
+    return basis_minus, out
 
 
 def reduced_density(basis: FockBasis, psi: np.ndarray, M: int = 1) -> np.ndarray:
@@ -417,23 +417,15 @@ def reduced_density(basis: FockBasis, psi: np.ndarray, M: int = 1) -> np.ndarray
     if M not in (1, 2):
         raise ManyBodyError("only M in {1, 2} supported at desk scale")
     N, d = basis.N, basis.d
-    basis1 = build_basis(d, N - 1)
-    maps = _lowering_map(basis, basis1)
-    A = np.zeros((d, basis1.dim), dtype=complex)
-    for i, (sel, tix, amp) in enumerate(maps):
-        np.add.at(A[i], tix, amp * psi[sel])
+    if M == 2 and N < 2:
+        raise ManyBodyError("M = 2 requires N >= 2")
+    basis1, A = lower(basis, psi)
     if M == 1:
         gamma = (A @ A.conj().T) / N
-        return 0.5 * (gamma + gamma.conj().T)
-    if N < 2:
-        raise ManyBodyError("M = 2 requires N >= 2")
-    basis2 = build_basis(d, N - 2)
-    maps2 = _lowering_map(basis1, basis2)
-    B = np.zeros((d * d, basis2.dim), dtype=complex)
-    for i in range(d):
-        for j, (sel, tix, amp) in enumerate(maps2):
-            np.add.at(B[i * d + j], tix, amp * A[i, sel])
-    gamma = (B @ B.conj().T) / (N * (N - 1))
+    else:
+        # rows of B are a_j a_i psi, flattened as i * d + j
+        B = lower(basis1, A)[1].reshape(d * d, -1)
+        gamma = (B @ B.conj().T) / (N * (N - 1))
     return 0.5 * (gamma + gamma.conj().T)
 
 
@@ -457,15 +449,6 @@ def excitation_probability(basis: FockBasis, psi: np.ndarray,
     occ_exp = mode_occupations(basis, psi)
     mask = np.array([spb.mode(i)[1] != 0 for i in range(spb.d)])
     return float(occ_exp[mask].sum() / basis.N)
-
-
-@dataclass
-class EnergyDiagnostics:
-    """Per-particle energy record with the a-priori growth function g(t)."""
-
-    t: float
-    e_psi: float
-    g: float
 
 
 def energy_per_particle(basis: FockBasis, psi: np.ndarray, H) -> float:

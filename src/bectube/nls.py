@@ -174,14 +174,18 @@ def evolve(w0: Wave1D, pot: Potential1D, b: float, dt: float, T: float,
 
     Half kinetic step in Fourier space, full potential+nonlinear phase with a
     time-dependent potential sampled at the interval midpoint, half kinetic
-    step.  Exactly mass preserving up to round-off.
+    step.  Exactly mass preserving up to round-off.  When T is not a multiple
+    of dt the step is shortened to T / ceil(T / dt), so the run ends at t0 + T.
     """
     if b < 0:
         raise NLSError("focusing nonlinearity (b < 0) is not supported")
+    if T <= 0:
+        raise NLSError(f"T = {T:g} must be positive")
     if dt > w0.dx**2 / np.pi:
         raise NLSError(f"dt = {dt:g} exceeds the stability margin "
                        f"dx^2/pi = {w0.dx**2 / np.pi:g}")
-    n_steps = int(round(T / dt))
+    n_steps = int(np.ceil(T / dt - 1e-9))
+    dt = T / n_steps
     k2 = w0.k**2
     half_kin = np.exp(-0.5j * dt * k2)
     x = w0.x

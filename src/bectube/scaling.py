@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import RegularGridInterpolator, interp1d
 from scipy.signal import fftconvolve
 from scipy.stats import qmc
@@ -359,16 +358,13 @@ def b_coefficient(modes: TransverseModes, w: PairPotential,
 
 
 def _radial_ft_table(w: PairPotential, k_max: float, n: int = 4096):
-    """Radial 3D Fourier transform of w on [0, k_max]."""
+    """Radial 3D Fourier transform of w on [0, k_max]:
+    4 pi int_0^1 r^2 w(r) sinc(k r) dr by 64-node Gauss-Legendre on the unit
+    ball's radius, all k in one matrix product."""
     k = np.linspace(0.0, k_max, n)
-
-    def one(kv):
-        if kv < 1e-9:
-            return 4 * np.pi * quad(lambda r: r**2 * w.radial(r), 0, 1)[0]
-        return 4 * np.pi * quad(
-            lambda r: r**2 * w.radial(r) * np.sinc(kv * r / np.pi), 0, 1)[0]
-
-    vals = np.array([one(kv) for kv in k])
+    r, wq = np.polynomial.legendre.leggauss(64)
+    r, wq = 0.5 * (r + 1.0), 0.5 * wq
+    vals = 4 * np.pi * np.sinc(np.outer(k, r) / np.pi) @ (wq * r**2 * w.radial(r))
     return interp1d(k, vals, bounds_error=False, fill_value=0.0)
 
 

@@ -9,7 +9,7 @@ the mode-overlap tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -117,7 +117,6 @@ class TransverseModes:
     energies: np.ndarray      # (m,)
     chi: np.ndarray           # (m, n1, n2), zero outside the mask
     origin: tuple = None      # origin for the angular-momentum operator
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def e0(self) -> float:

@@ -108,6 +108,25 @@ class TestMain:
         p.write_text('{"cross_section": {"n": 5}}')
         assert cli.main(["modes", "--config", str(p)]) == 2
 
+    def test_bug_is_not_numerical_failure(self, outdir, tmp_path,
+                                          monkeypatch):
+        # a programming error keeps its traceback instead of exiting 2
+        def broken(cfg, out):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(cli.COMMANDS, "modes", broken)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            cli.main(["modes", "--config", str(small_modes_config(tmp_path))])
+
+    def test_module_error_is_numerical_failure(self, outdir, tmp_path,
+                                               monkeypatch):
+        def failing(cfg, out):
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setitem(cli.COMMANDS, "modes", failing)
+        p = small_modes_config(tmp_path)
+        assert cli.main(["modes", "--config", str(p)]) == 2
+
     def test_modes_run(self, outdir, tmp_path, capsys):
         p = small_modes_config(tmp_path)
         assert cli.main(["modes", "--config", str(p)]) == 0

@@ -1,6 +1,8 @@
 """Tests for the sector projectors, weight functions, and condensation
 measures, on both the dense first-quantized and the Fock-space paths."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -212,4 +214,58 @@ class TestBridges:
         basis = mb.build_basis(3, 2)
         ref = cd.condensate_ref(np.ones(4))
         with pytest.raises(cd.CondensationError):
-            cd.rotate_to_reference(basis, ref, np.zeros(basis.dim))
+            cd.sector_weights(basis, ref, np.zeros(basis.dim))
+
+
+class TestBinomialMoments:
+    """Sector weights from repeated lowering at the largest N in use
+    (d = 16, N = 6, Fock dimension 54264)."""
+
+    @pytest.fixture(scope="class")
+    def basis(self):
+        return mb.build_basis(16, 6)
+
+    @staticmethod
+    def _unit(rng, n):
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    def test_product_state_is_binomial(self, basis):
+        # phi'^N has n_phi ~ Binomial(N, |<phi, phi'>|^2), so
+        # pk[k] = C(N, k) q^k (1 - q)^(N - k) with q = 1 - |<phi, phi'>|^2
+        rng = np.random.default_rng(7)
+        phi = self._unit(rng, 16)
+        phi2 = self._unit(rng, 16)
+        for mix in (0.1, 0.5, 2.0):
+            chi = phi + mix * phi2
+            chi = chi / np.linalg.norm(chi)
+            q = 1.0 - abs(np.vdot(phi, chi)) ** 2
+            pk = cd.sector_weights(basis, cd.condensate_ref(phi),
+                                   mb.condensate_state(basis, chi))
+            exact = [comb(6, k) * q**k * (1 - q) ** (6 - k) for k in range(7)]
+            assert np.abs(pk - exact).max() < 1e-13
+
+    def test_weights_sum_to_norm(self, basis):
+        rng = np.random.default_rng(8)
+        psi = 0.7 * self._unit(rng, basis.dim)
+        pk = cd.sector_weights(basis, cd.condensate_ref(self._unit(rng, 16)),
+                               psi)
+        assert abs(pk.sum() - np.vdot(psi, psi).real) < 1e-13
+        assert np.all(pk > -1e-13)
+
+    def test_alpha_n2_pickl_identity(self, basis):
+        rng = np.random.default_rng(9)
+        psi = self._unit(rng, basis.dim)
+        phi = self._unit(rng, 16)
+        a = cd.alpha_n2(basis, cd.condensate_ref(phi), psi)
+        g1 = mb.reduced_density(basis, psi, M=1)
+        assert abs(a - (1.0 - np.vdot(phi, g1 @ phi).real)) < 1e-13
+
+    def test_cancellation_refused(self):
+        # the condensate itself at N = 40: sum_j C(j, n) M_j reaches
+        # C(40, n) 2^(40 - n), far past what double precision can cancel
+        basis = mb.build_basis(2, 40)
+        phi = np.array([0.6, 0.8])
+        psi = mb.condensate_state(basis, phi)
+        with pytest.raises(cd.CondensationError, match="cancellation"):
+            cd.sector_weights(basis, cd.condensate_ref(phi), psi)

@@ -1,6 +1,6 @@
 """Tests for the exact few-boson simulator on the quasi-1D lattice."""
 
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -42,8 +42,8 @@ class TestBasis:
 
     def test_lookup_roundtrip(self):
         basis = mb.build_basis(4, 3)
-        for i in (0, 5, basis.dim - 1):
-            assert basis.lookup(basis.occupations[i]) == i
+        for i in range(basis.dim):
+            assert basis.index[basis.occupations[i].tobytes()] == i
 
     def test_cap(self):
         with pytest.raises(mb.ManyBodyError, match="cap"):
@@ -74,6 +74,16 @@ class TestCondensateState:
         phi = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         psi = mb.condensate_state(basis, phi)
         assert np.isclose(np.linalg.norm(psi), 1.0, atol=1e-12)
+
+    def test_matches_multinomial_loop(self):
+        # sqrt(N! / prod n_i!) prod phi_i^n_i, one state at a time
+        basis = mb.build_basis(5, 4)
+        rng = np.random.default_rng(4)
+        phi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        phi = phi / np.linalg.norm(phi)
+        ref = [np.sqrt(factorial(4) / np.prod([factorial(n) for n in occ]))
+               * np.prod(phi**occ.astype(int)) for occ in basis.occupations]
+        assert np.abs(mb.condensate_state(basis, phi) - ref).max() < 1e-15
 
     def test_condensate_reduced_density_is_projector(self):
         basis = mb.build_basis(4, 3)

@@ -98,6 +98,31 @@ class TestEvolveInterface:
         with pytest.raises(nls.NLSError, match="stability"):
             nls.evolve(w0, nls.free_potential(), 0.0, dt=0.5, T=1.0)
 
+    def test_stability_checked_on_requested_dt(self):
+        # dx^2/pi = 1.24e-3; the requested 1.3e-3 would be shortened to
+        # 1.2e-3 to end at T, but the request itself is refused
+        w0 = nls.gaussian(8.0, 256)
+        with pytest.raises(nls.NLSError, match="stability"):
+            nls.evolve(w0, nls.free_potential(), 0.0, dt=1.3e-3, T=2.4e-3)
+
+    def test_ends_at_requested_time(self):
+        # T is not a multiple of dt: 101 steps of T/101 end at T, and the
+        # plane wave matches its exact phase there
+        X, b, T = 8.0, 0.5, 0.1005
+        w0 = nls.plane_wave(X, 256, mode=2)
+        traj = nls.evolve(w0, nls.free_potential(), b, dt=1e-3, T=T,
+                          store_every=1)
+        assert len(traj) == 102
+        assert traj[-1].t == pytest.approx(T, abs=1e-15)
+        k = 2 * np.pi / X
+        exact = w0.values * np.exp(-1j * (k**2 + b / (2 * X)) * T)
+        assert np.abs(traj[-1].values - exact).max() < 1e-10
+
+    def test_nonpositive_time_rejected(self):
+        w0 = nls.gaussian(8.0, 256)
+        with pytest.raises(nls.NLSError, match="positive"):
+            nls.evolve(w0, nls.free_potential(), 0.0, dt=1e-3, T=0.0)
+
     def test_store_every(self):
         w0 = nls.gaussian(8.0, 256)
         traj = nls.evolve(w0, nls.free_potential(), 0.0, dt=1e-3, T=0.1,

@@ -195,6 +195,17 @@ class TestCoupling:
 
 
 class TestConvolutionDefect:
+    @pytest.mark.parametrize("wt", [sc.bump_potential().wt,
+                                    lambda s: np.exp(-3.0 * s)])
+    def test_radial_table_matches_quadrature(self, wt):
+        w = sc.PairPotential(wt=wt, dwt=None, mass=0.0, first_moment=0.0)
+        table = sc._radial_ft_table(w, k_max=60.0)
+        for k in np.linspace(0.0, 60.0, 4096)[::455]:
+            ref = 4 * np.pi * quad(
+                lambda r: r**2 * w.radial(r) * np.sinc(k * r / np.pi), 0, 1,
+                epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+            assert abs(float(table(k)) - ref) < 1e-12
+
     def test_spectral_vs_direct(self):
         w = sc.bump_potential()
         spec = sc.convolution_defect(w, eps=0.8, mu=0.5)
