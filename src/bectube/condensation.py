@@ -32,10 +32,9 @@ class CondensationError(ValueError):
 
 @dataclass(frozen=True)
 class CondensateRef:
-    """Normalized one-body reference phi plus a unitary with phi as column 0."""
+    """Normalized one-body reference phi."""
 
     phi: np.ndarray
-    unitary: np.ndarray
 
     @property
     def d(self) -> int:
@@ -47,29 +46,12 @@ class CondensateRef:
 
 
 def condensate_ref(phi: np.ndarray) -> CondensateRef:
-    """Build the reference with a deterministic Gram-Schmidt completion."""
+    """Build the reference from a nonzero phi."""
     phi = np.asarray(phi, dtype=complex)
     nrm = np.linalg.norm(phi)
     if nrm == 0:
         raise CondensationError("phi must be nonzero")
-    phi = phi / nrm
-    d = len(phi)
-    cols = [phi]
-    for j in range(d):
-        v = np.zeros(d, dtype=complex)
-        v[j] = 1.0
-        for u in cols:
-            v = v - np.vdot(u, v) * u
-        n = np.linalg.norm(v)
-        if n > 1e-8:
-            cols.append(v / n)
-        if len(cols) == d:
-            break
-    U = np.column_stack(cols)
-    defect = np.abs(U.conj().T @ U - np.eye(d)).max()
-    if defect > 1e-12:
-        raise CondensationError(f"unitary completion defect {defect:.3e}")
-    return CondensateRef(phi=phi, unitary=U)
+    return CondensateRef(phi=phi / nrm)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ transverse-excitation probabilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, combinations_with_replacement
 from math import comb
 from typing import Callable, Sequence
 
@@ -67,43 +69,91 @@ class SingleParticleBasis:
 
 @dataclass
 class FockBasis:
-    """All occupation vectors of N bosons over d modes, lexicographic."""
+    """All occupation vectors of N bosons over d modes, lexicographic with
+    the first occupation descending.
+
+    A state's position is its combinatorial rank (Knuth, TAOCP 4A,
+    7.2.1.3): with L_i = N - (n_0 + ... + n_{i-1}) particles left for modes
+    i..d-1, it is the sum over i = 0..d-2 of C(L_{i+1} + d-i-2, d-i-1), the
+    number of states that agree with n on modes 0..i-1 and put more than n_i
+    particles on mode i.
+    """
 
     N: int
     d: int
     occupations: np.ndarray              # (dim, d) int8
-    index: dict = field(repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.occupations)
 
+    def rank(self, occ: np.ndarray) -> np.ndarray:
+        """Positions of the N-particle occupation vectors occ (rows, d),
+        ranked column by column with a running L."""
+        occ = np.asarray(occ)
+        L = np.full(len(occ), self.N)
+        out = np.zeros(len(occ), dtype=np.int64)
+        for i in range(self.d - 1):
+            k = self.d - i - 1
+            L -= occ[:, i]
+            out += np.array([comb(l + k - 1, k) for l in range(self.N + 1)])[L]
+        return out
+
+    @cached_property
+    def minus(self) -> "FockBasis":
+        """The (N-1)-particle basis over the same modes, built once."""
+        return build_basis(self.d, self.N - 1)
+
 
 def build_basis(d: int, N: int, cap: int = 10**6) -> FockBasis:
-    """Enumerate the symmetric N-particle basis over d modes."""
+    """Enumerate the symmetric N-particle basis over d modes.
+
+    The sorted mode tuples of combinations_with_replacement come in the
+    basis order: more particles in the first mode first."""
     dim = comb(d + N - 1, N)
     if dim > cap:
         raise ManyBodyError(
             f"Fock dimension C({d + N - 1},{N}) = {dim} exceeds cap {cap}")
+    modes = np.fromiter(chain.from_iterable(
+        combinations_with_replacement(range(d), N)), dtype=np.intp,
+        count=dim * N).reshape(dim, N)
     occs = np.zeros((dim, d), dtype=np.int8)
-    row = 0
+    np.add.at(occs, (np.arange(dim)[:, None], modes), 1)
+    return FockBasis(N=N, d=d, occupations=occs)
 
-    def rec(pos, left, current):
-        nonlocal row
-        if pos == d - 1:
-            current[pos] = left
-            occs[row] = current
-            row += 1
-            current[pos] = 0
-            return
-        for n in range(left, -1, -1):
-            current[pos] = n
-            rec(pos + 1, left - n, current)
-            current[pos] = 0
 
-    rec(0, N, np.zeros(d, dtype=np.int8))
-    index = {occs[i].tobytes(): i for i in range(dim)}
-    return FockBasis(N=N, d=d, occupations=occs, index=index)
+def hop(basis: FockBasis, target: FockBasis, create, annihilate):
+    """Matrix elements of T monomials a+_{p_1}..a+_{p_k} a_{s_1}..a_{s_l}.
+
+    create (T, k) and annihilate (T, l) hold each monomial's mode indices;
+    k or l may be 0.  target is the basis with N + k - l particles.
+    Returns (term, rows, cols, amps): monomial term maps basis state cols to
+    amps times target state rows, once for every source state it does not
+    annihilate.  The operators act right to left.
+    """
+    create = np.asarray(create, dtype=np.intp)
+    annihilate = np.asarray(annihilate, dtype=np.intp)
+    if target.N != basis.N + create.shape[1] - annihilate.shape[1]:
+        raise ManyBodyError("target basis has the wrong particle number")
+    occ = basis.occupations
+    ok = np.ones((len(annihilate), basis.dim), dtype=bool)
+    for c in range(annihilate.shape[1]):
+        # a_s needs one particle more than the annihilators to its right take
+        need = 1 + (annihilate[:, c + 1:] == annihilate[:, c:c + 1]).sum(1)
+        ok &= occ[:, annihilate[:, c]].T >= need[:, None]
+    term, cols = np.nonzero(ok)
+    tgt = occ[cols]
+    e = np.arange(len(cols))
+    f = np.ones(len(cols))
+    for s in annihilate.T[::-1]:
+        i = s[term]
+        f *= tgt[e, i]
+        tgt[e, i] -= 1
+    for p in create.T[::-1]:
+        i = p[term]
+        tgt[e, i] += 1
+        f *= tgt[e, i]
+    return term, target.rank(tgt), cols, np.sqrt(f)
 
 
 def condensate_state(basis: FockBasis, phi: np.ndarray) -> np.ndarray:
@@ -149,13 +199,9 @@ def mode_kernel(modes: TransverseModes, w: PairPotential, spt: ScalingPoint,
     corr = {}
     for (a, dd), A in prods.items():
         for (b, c), B in prods.items():
-            key = (a, dd, b, c)
-            if key in corr:
-                continue
             Q = fftconvolve(A, B[::-1, ::-1]) * h**2
-            itp = RegularGridInterpolator((lag1, lag2), Q, bounds_error=False,
-                                          fill_value=0.0)
-            corr[key] = itp
+            corr[(a, dd, b, c)] = RegularGridInterpolator(
+                (lag1, lag2), Q, bounds_error=False, fill_value=0.0)
 
     half = min(mu / eps, float(lag1[-1]))
     n_lag = max(17, int(np.ceil(16 * half / (mu / eps))) | 1)
@@ -198,104 +244,86 @@ def one_body_matrix(spb: SingleParticleBasis, v_static: np.ndarray = None,
     """One-particle Hamiltonian on the lattice: 3-point periodic Laplacian in
     x, static potential, external potential V(t, x, 0), and the renormalized
     transverse offsets (E_j - E_0)/eps^2."""
-    G, m, dx = spb.G_x, spb.m, spb.dx
-    d = spb.d
-    h = np.zeros((d, d))
-    x = spb.x
-    diag_x = np.full(G, 2.0 / dx**2)
+    diag_x = np.full(spb.G_x, 2.0 / spb.dx**2)
     if v_static is not None:
         diag_x = diag_x + np.asarray(v_static, dtype=float)
     if v_ext is not None:
-        diag_x = diag_x + np.asarray(v_ext(t, x), dtype=float)
-    offs = spb.transverse_offsets()
-    for g in range(G):
-        for j in range(m):
-            i = g * m + j
-            h[i, i] = diag_x[g] + offs[j]
-            for g2 in ((g + 1) % G, (g - 1) % G):
-                h[i, g2 * m + j] = -1.0 / dx**2
+        diag_x = diag_x + np.asarray(v_ext(t, spb.x), dtype=float)
+    h = np.diag(np.repeat(diag_x, spb.m)
+                + np.tile(spb.transverse_offsets(), spb.G_x))
+    # neighbouring sites (g +- 1) mod G_x are modes i +- m mod d
+    i = np.arange(spb.d)
+    for shift in (spb.m, -spb.m):
+        h[i, (i + shift) % spb.d] = -1.0 / spb.dx**2
     return h
+
+
+def pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int = None,
+               m: int = None):
+    """The pair interaction (1/2) sum K[o,a,b,c,d] a+_p a+_q a_r a_s with
+    p = (g,a), q = (g+o,b), r = (g+o,c), s = (g,d), as arrays
+    (p, q, r, s, coef) over the d = G_x * m lattice modes (g, j) = g * m + j,
+    sites taken modulo G_x.
+
+    m = K.shape[1] and G_x = d / m; a passed G_x or m that disagrees is
+    refused.  coef holds 0.5 K; entries with |0.5 K| < 1e-16 are dropped, and
+    terms that share (p, q, r, s) are summed into one.
+    """
+    half = 0.5 * np.asarray(K)
+    m_K = half.shape[1] if half.ndim == 5 else 0
+    if not m_K or d % m_K or m not in (None, m_K) \
+            or G_x not in (None, d // m_K):
+        raise ManyBodyError(f"layout G_x = {G_x}, m = {m} does not fit "
+                            f"d = {d} and a kernel of shape {half.shape}")
+    G_x, m = d // m_K, m_K
+    o, a, b, c, dd = np.nonzero(np.abs(half) >= 1e-16)
+    g = np.arange(G_x)[:, None]
+    g2 = (g + np.asarray(offsets)[o]) % G_x
+    keys = np.stack(np.broadcast_arrays(g * m + a, g2 * m + b, g2 * m + c,
+                                        g * m + dd)).reshape(4, -1)
+    keys, inv = np.unique(keys, axis=1, return_inverse=True)
+    coef = np.zeros(keys.shape[1], dtype=half.dtype)
+    np.add.at(coef, inv.ravel(), np.tile(half[o, a, b, c, dd], G_x))
+    return (*keys, coef)
+
+
+def _one_body(h_one, d: int) -> np.ndarray:
+    if np.shape(h_one) != (d, d):
+        raise ManyBodyError(f"one-body matrix of shape {np.shape(h_one)} "
+                            f"on {d} modes")
+    return np.asarray(h_one)
 
 
 def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
                       offsets: np.ndarray = None, K: np.ndarray = None,
-                      G_x: int = None, m: int = 1) -> sp.csr_matrix:
+                      G_x: int = None, m: int = None) -> sp.csr_matrix:
     """Second-quantized Hamiltonian: sum h_ij a+_i a_j plus
     (1/2) sum K[o,a,b,c,d] a+_(g,a) a+_(g+o,b) a_(g+o,c) a_(g,d).
 
-    Hermitian to round-off by construction (symmetric inputs are enforced)."""
-    occ = basis.occupations.astype(np.int64)
+    Off-diagonal elements come from ``hop``, the interaction from
+    ``pair_terms`` (which also derives and checks G_x and m).  Hermitian to
+    round-off by construction (symmetric inputs are enforced)."""
+    occ = basis.occupations
     dim, d = occ.shape
+    h_one = _one_body(h_one, d)
     h_one = 0.5 * (h_one + h_one.T.conj())
 
-    rows, cols, vals = [], [], []
-
-    # one-body diagonal
     diag = occ @ np.real(np.diag(h_one))
+    ii, jj = np.nonzero(np.abs(h_one - np.diag(np.diag(h_one))) > 1e-15)
+    term, tgt, src, amp = hop(basis, basis, ii[:, None], jj[:, None])
+    rows, cols, vals = [tgt], [src], [amp * h_one[ii, jj][term]]
 
-    # one-body off-diagonal
-    ii, jj = np.nonzero(np.triu(np.abs(h_one), k=1) > 1e-15)
-    for i, j in zip(ii, jj):
-        hij = h_one[i, j]
-        sel = np.nonzero(occ[:, j] > 0)[0]
-        amp = np.sqrt(occ[sel, j] * (occ[sel, i] + 1.0)) * hij
-        for s, a in zip(sel, amp):
-            tgt = occ[s].copy()
-            tgt[j] -= 1
-            tgt[i] += 1
-            tix = basis.index[tgt.astype(np.int8).tobytes()]
-            rows.append(tix)
-            cols.append(s)
-            vals.append(a)
-            rows.append(s)
-            cols.append(tix)
-            vals.append(np.conj(a))
-
-    # two-body terms
     if K is not None:
-        if G_x is None:
-            G_x = d // m
-        terms = {}
-        for o_idx, o in enumerate(offsets):
-            for g in range(G_x):
-                g2 = (g + o) % G_x
-                for a in range(m):
-                    for b in range(m):
-                        for c in range(m):
-                            for dd in range(m):
-                                coef = 0.5 * K[o_idx, a, b, c, dd]
-                                if abs(coef) < 1e-16:
-                                    continue
-                                p, q = g * m + a, g2 * m + b
-                                r, s_ = g2 * m + c, g * m + dd
-                                key = (p, q, r, s_)
-                                terms[key] = terms.get(key, 0.0) + coef
-        for (p, q, r, s_), coef in terms.items():
-            if p == s_ and q == r:
-                # diagonal: a+_p a+_q a_q a_p -> n_p (n_q - delta_pq)
-                diag = diag + coef * occ[:, p] * (occ[:, q] - (p == q))
-                continue
-            sel = np.nonzero((occ[:, s_] > 0)
-                             & (occ[:, r] - (r == s_) > 0))[0]
-            if len(sel) == 0:
-                continue
-            n = occ[sel]
-            amp = np.sqrt(n[:, s_] * (n[:, r] - (r == s_)))
-            tgt = n.copy()
-            tgt[:, s_] -= 1
-            tgt[:, r] -= 1
-            amp = amp * np.sqrt(tgt[:, q] + 1.0)
-            tgt[:, q] += 1
-            amp = amp * np.sqrt(tgt[:, p] + 1.0)
-            tgt[:, p] += 1
-            amp = amp * coef
-            for row_occ, s0, a0 in zip(tgt.astype(np.int8), sel, amp):
-                tix = basis.index[row_occ.tobytes()]
-                rows.append(tix)
-                cols.append(s0)
-                vals.append(a0)
+        p, q, r, s, coef = pair_terms(offsets, K, d, G_x, m)
+        term, tgt, src, amp = hop(basis, basis, np.stack([p, q], 1),
+                                  np.stack([r, s], 1))
+        rows.append(tgt)
+        cols.append(src)
+        vals.append(amp * coef[term])
 
-    H = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim), dtype=complex)
+    H = sp.csr_matrix((np.concatenate(vals),
+                       (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(dim, dim), dtype=complex)
     H = H + sp.diags(diag.astype(complex))
     defect = abs(H - H.getH()).max()
     if defect > 1e-12:
@@ -356,11 +384,9 @@ def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
     time_dep = callable(H)
     if dt is None:
         Hmat = H(0.0) if time_dep else H
-        hnorm = abs(Hmat).sum(axis=1).max() if sp.issparse(Hmat) else \
-            np.abs(Hmat).sum(axis=1).max()
+        hnorm = abs(Hmat).sum(axis=1).max()
         dt = min(T, max(1e-3, 10.0 / float(hnorm)))
-    n_steps = max(1, int(np.ceil(T / dt)))
-    dt = T / n_steps
+    n_steps, dt = _steps(T, dt)
     if store_every is None:
         store_every = n_steps
     out = [(0.0, psi.copy())]
@@ -387,6 +413,14 @@ def evolve_state_dense(H, psi0: np.ndarray, times: Sequence[float]):
     return [(t, evecs @ (np.exp(-1j * evals * t) * c0)) for t in times]
 
 
+def _steps(T: float, dt: float):
+    """(n, T / n) with n = ceil(T / dt); T and dt must be positive."""
+    if not (T > 0 and dt > 0):
+        raise ManyBodyError(f"T = {T:g} and dt = {dt:g} must be positive")
+    n = max(1, int(np.ceil(T / dt)))
+    return n, T / n
+
+
 # ---------------------------------------------------------------------------
 # observables
 
@@ -394,22 +428,17 @@ def evolve_state_dense(H, psi0: np.ndarray, times: Sequence[float]):
 def lower(basis: FockBasis, psi: np.ndarray):
     """Apply every annihilator a_i to psi, an array of shape (..., dim).
 
-    Returns (basis_minus, out): the (N-1)-particle basis and
+    Returns (basis.minus, out): the (N-1)-particle basis and
     out[..., i, :] = a_i psi on it.  a_i maps basis states one-to-one, so
     each output entry receives a single amplitude.
     """
-    basis_minus = build_basis(basis.d, basis.N - 1)
-    occ = basis.occupations
-    src, mode = np.nonzero(occ)
-    amp = np.sqrt(occ[src, mode].astype(float))
-    tgt_occ = occ[src]
-    tgt_occ[np.arange(len(src)), mode] -= 1
-    tgt = np.fromiter((basis_minus.index[row.tobytes()] for row in tgt_occ),
-                      dtype=np.intp, count=len(src))
+    minus = basis.minus
+    modes, tgt, src, amp = hop(basis, minus, np.empty((basis.d, 0)),
+                               np.arange(basis.d)[:, None])
     psi = np.asarray(psi)
-    out = np.zeros(psi.shape[:-1] + (basis.d, basis_minus.dim), dtype=complex)
-    out[..., mode, tgt] = amp * psi[..., src]
-    return basis_minus, out
+    out = np.zeros(psi.shape[:-1] + (basis.d, minus.dim), dtype=complex)
+    out[..., modes, tgt] = amp * psi[..., src]
+    return minus, out
 
 
 def reduced_density(basis: FockBasis, psi: np.ndarray, M: int = 1) -> np.ndarray:
@@ -476,42 +505,25 @@ def hartree_evolve(h_one, offsets, K, G_x: int, m: int, N: int,
     """Mean-field (Hartree) evolution of a one-body vector under the same
     lattice and kernel as the many-body model.
 
-    i dphi/dt = h phi + (N-1) * contraction(K, |phi|^2) phi, integrated by RK4.
-    Returns a list of (t, phi) frames at every step boundary multiple.
+    i dphi/dt = h phi + 2 (N-1) sum_t coef_t conj(phi_q) phi_r phi_s e_p over
+    the ``pair_terms``, integrated by RK4.  Returns a list of (t, phi) frames
+    at every step.
     """
     d = len(phi0)
+    h_one = _one_body(h_one, d)
+    p, q, r, s, coef = pair_terms(offsets, K, d, G_x, m)
+    coef = 2 * (N - 1) * coef
     phi = np.asarray(phi0, dtype=complex)
     phi = phi / np.linalg.norm(phi)
 
-    def nonlinear(v):
-        out = np.zeros_like(v)
-        dens = np.abs(v) ** 2
-        for o_idx, o in enumerate(offsets):
-            for g in range(G_x):
-                g2 = (g + o) % G_x
-                for a in range(m):
-                    for b in range(m):
-                        for c in range(m):
-                            for dd in range(m):
-                                coef = K[o_idx, a, b, c, dd]
-                                if abs(coef) < 1e-16:
-                                    continue
-                                # mean-field contraction over the partner particle
-                                out[g * m + a] += (coef
-                                                   * np.conj(v[g2 * m + b])
-                                                   * v[g2 * m + c]
-                                                   * v[g * m + dd])
-        return (N - 1) * out
-
     def rhs(t, v):
         hv = h_one @ v
+        np.add.at(hv, p, coef * np.conj(v[q]) * v[r] * v[s])
         if v_ext is not None:
-            hv = hv + v_ext(t, x)[:, None].repeat(m, axis=1).ravel() * v \
-                if m > 1 else hv + v_ext(t, x) * v
-        return -1j * (hv + nonlinear(v))
+            hv = hv + np.repeat(v_ext(t, x), m) * v
+        return -1j * hv
 
-    n_steps = max(1, int(np.ceil(T / dt)))
-    dt = T / n_steps
+    n_steps, dt = _steps(T, dt)
     frames = [(0.0, phi.copy())]
     t = 0.0
     for _ in range(n_steps):
@@ -528,24 +540,11 @@ def hartree_evolve(h_one, offsets, K, G_x: int, m: int, N: int,
 def hartree_energy(h_one, offsets, K, G_x: int, m: int, N: int,
                    phi: np.ndarray) -> float:
     """Per-particle mean-field energy for the same lattice and kernel:
-    <phi, h phi> + ((N-1)/2) * two-body contraction on phi."""
+    <phi, h phi> + (N-1) sum_t coef_t conj(phi_p phi_q) phi_r phi_s."""
     phi = np.asarray(phi, dtype=complex)
     phi = phi / np.linalg.norm(phi)
+    h_one = _one_body(h_one, len(phi))
+    p, q, r, s, coef = pair_terms(offsets, K, len(phi), G_x, m)
     e = np.vdot(phi, h_one @ phi).real
-    two = 0.0
-    for o_idx, o in enumerate(offsets):
-        for g in range(G_x):
-            g2 = (g + o) % G_x
-            for a in range(m):
-                for b in range(m):
-                    for c in range(m):
-                        for dd in range(m):
-                            coef = K[o_idx, a, b, c, dd]
-                            if abs(coef) < 1e-16:
-                                continue
-                            two += (coef
-                                    * np.conj(phi[g * m + a])
-                                    * np.conj(phi[g2 * m + b])
-                                    * phi[g2 * m + c]
-                                    * phi[g * m + dd]).real
-    return float(e + 0.5 * (N - 1) * two)
+    two = np.dot(coef, np.conj(phi[p] * phi[q]) * phi[r] * phi[s]).real
+    return float(e + (N - 1) * two)

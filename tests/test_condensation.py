@@ -68,14 +68,6 @@ class TestWeightFunctions:
 
 
 class TestReference:
-    def test_unitary_completion(self):
-        rng = np.random.default_rng(0)
-        phi = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        ref = cd.condensate_ref(phi)
-        U = ref.unitary
-        assert np.allclose(U.conj().T @ U, np.eye(5), atol=1e-12)
-        assert np.allclose(U[:, 0], ref.phi)
-
     def test_zero_phi_rejected(self):
         with pytest.raises(cd.CondensationError):
             cd.condensate_ref(np.zeros(4))

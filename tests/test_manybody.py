@@ -1,5 +1,6 @@
 """Tests for the exact few-boson simulator on the quasi-1D lattice."""
 
+from itertools import permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bectube import condensation as cd
 from bectube import manybody as mb
 from bectube import scaling as sc
 from bectube import transverse as tv
@@ -34,6 +36,50 @@ def small_system(modes):
                 offsets=offsets, K=K)
 
 
+def _embed(op, sites, N, d):
+    """op acting on the particles `sites` of (C^d)^(x)N, as a matrix."""
+    rest = [i for i in range(N) if i not in sites]
+    full = np.kron(op, np.eye(d ** (N - len(sites)))).reshape((d,) * 2 * N)
+    inv = list(np.argsort(list(sites) + rest))
+    return full.transpose(inv + [N + i for i in inv]).reshape(d**N, d**N)
+
+
+def _pair_matrix(offsets, K, G_x):
+    """W[p, q, s, r] = sum of K[o, a, b, c, dd] over the (o, g) with
+    p = (g, a), q = (g+o, b), r = (g+o, c), s = (g, dd): the pair operator
+    that moves particle one from s to p and particle two from r to q."""
+    m = K.shape[1]
+    d = G_x * m
+    W = np.zeros((d,) * 4, dtype=K.dtype)
+    for (o_idx, o), g, a, b, c, dd in product(
+            enumerate(offsets), range(G_x), *[range(m)] * 4):
+        g2 = (g + o) % G_x
+        W[g * m + a, g2 * m + b, g * m + dd, g2 * m + c] += \
+            K[o_idx, a, b, c, dd]
+    return W
+
+
+def _wrapped_system():
+    """3 sites x 2 modes with a random kernel at offsets -2..2, so offsets
+    +-2 and -+1 reach the same sites; the kernel has the pair-exchange and
+    Hermitian symmetries and no others."""
+    rng = np.random.default_rng(5)
+    K = rng.standard_normal((5, 2, 2, 2, 2))
+    K = K + K[::-1].transpose(0, 2, 1, 4, 3)
+    K = K + K.transpose(0, 4, 3, 2, 1)
+    spb = mb.SingleParticleBasis(G_x=3, dx=0.5, eps=0.5,
+                                 transverse_energies=np.array([2.0, 5.0]))
+    return dict(h=mb.one_body_matrix(spb), offsets=np.arange(-2, 3), K=K)
+
+
+def _symmetric(occ, N, d):
+    """The normalized symmetric tensor with occupations occ."""
+    t = np.zeros((d,) * N)
+    t[tuple(np.repeat(np.arange(d), occ))] = 1.0
+    v = sum(np.transpose(t, perm) for perm in permutations(range(N)))
+    return v.ravel() / np.linalg.norm(v)
+
+
 class TestBasis:
     def test_dimension(self):
         basis = mb.build_basis(4, 3)
@@ -41,9 +87,22 @@ class TestBasis:
         assert np.all(basis.occupations.sum(axis=1) == 3)
 
     def test_lookup_roundtrip(self):
-        basis = mb.build_basis(4, 3)
-        for i in range(basis.dim):
-            assert basis.index[basis.occupations[i].tobytes()] == i
+        # every state ranks to its own position in one batched call,
+        # including one mode (d = 1) and the vacuum (N = 0)
+        for d, N in [(4, 3), (16, 6), (1, 5), (5, 0)]:
+            basis = mb.build_basis(d, N)
+            assert np.array_equal(basis.rank(basis.occupations),
+                                  np.arange(basis.dim))
+        basis = mb.build_basis(16, 6)
+        rows = np.random.default_rng(0).permutation(basis.dim)[:500]
+        assert np.array_equal(basis.rank(basis.occupations[rows]), rows)
+
+    def test_lexicographic_order(self):
+        # first occupation descending, then the second, and so on
+        basis = mb.build_basis(5, 4)
+        ref = sorted((c for c in product(range(5), repeat=5) if sum(c) == 4),
+                     reverse=True)
+        assert np.array_equal(basis.occupations, ref)
 
     def test_cap(self):
         with pytest.raises(mb.ManyBodyError, match="cap"):
@@ -108,6 +167,22 @@ class TestOneBody:
         exact = np.sort(2.0 / 0.25 * (1 - np.cos(k)))
         assert np.allclose(evals, exact, atol=1e-12)
 
+    @pytest.mark.parametrize("G_x, m", [(1, 2), (2, 1), (3, 2), (5, 3)])
+    def test_matches_site_loop(self, G_x, m):
+        spb = mb.SingleParticleBasis(G_x=G_x, dx=0.4, eps=0.5,
+                                     transverse_energies=np.arange(2.0, 2 + m))
+        v_static = np.linspace(0.0, 1.0, G_x)
+        h = mb.one_body_matrix(spb, v_static, lambda t, x: np.sin(x + t), 0.3)
+        ref = np.zeros((spb.d, spb.d))
+        offs = spb.transverse_offsets()
+        for g, j in product(range(G_x), range(m)):
+            i = g * m + j
+            ref[i, i] = (2.0 / 0.4**2 + v_static[g] + np.sin(0.4 * g + 0.3)
+                         + offs[j])
+            for g2 in ((g + 1) % G_x, (g - 1) % G_x):
+                ref[i, g2 * m + j] = -1.0 / 0.4**2
+        assert np.array_equal(h, ref)
+
     def test_transverse_offsets_enter_diagonal(self, modes):
         spb = mb.SingleParticleBasis(G_x=4, dx=0.5, eps=0.5,
                                      transverse_energies=modes.energies)
@@ -159,6 +234,47 @@ class TestHamiltonian:
                                    s["phi0"])
         assert np.isclose(e_many, e_hart, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("system, N", [("small", 2), ("small", 3),
+                                           ("wrapped", 3)])
+    def test_first_quantized_oracle(self, small_system, system, N):
+        # the Hamiltonian on (C^d)^(x)N built from the docstring of
+        # build_hamiltonian, mapped to the Fock basis by dense_to_fock
+        s = small_system if system == "small" else _wrapped_system()
+        h, offsets, K = s["h"], s["offsets"], s["K"]
+        d = len(h)
+        W = _pair_matrix(offsets, K, d // K.shape[1]).reshape(d * d, d * d)
+        H1 = sum(_embed(h, [i], N, d) for i in range(N))
+        H1 = H1 + 0.5 * sum(_embed(W, [i, j], N, d)
+                            for i in range(N) for j in range(N) if i != j)
+        basis = mb.build_basis(d, N)
+        J = np.column_stack([_symmetric(occ, N, d)
+                             for occ in basis.occupations])
+        HJ = H1 @ J
+        oracle = np.column_stack([cd.dense_to_fock(HJ[:, k], basis)
+                                  for k in range(basis.dim)])
+        H = mb.build_hamiltonian(basis, h, offsets, K)
+        assert np.abs(H.toarray() - oracle).max() < 1e-12
+
+    def test_layout_derived_from_kernel(self, small_system):
+        s = small_system
+        H = mb.build_hamiltonian(s["basis"], s["h"], s["offsets"], s["K"])
+        assert (H != s["H"]).nnz == 0
+        args = (s["basis"], s["h"], s["offsets"], s["K"])
+        for kw in ({"m": 1}, {"G_x": 12}, {"G_x": 4, "m": 3}):
+            with pytest.raises(mb.ManyBodyError, match="layout"):
+                mb.build_hamiltonian(*args, **kw)
+        with pytest.raises(mb.ManyBodyError, match="one-body"):
+            mb.build_hamiltonian(s["basis"], s["h"][:6, :6])
+        with pytest.raises(mb.ManyBodyError, match="layout"):
+            mb.hartree_evolve(s["h"], s["offsets"], s["K"], 12, 1, 3,
+                              s["phi0"], T=0.01)
+        with pytest.raises(mb.ManyBodyError, match="layout"):
+            mb.hartree_energy(s["h"], s["offsets"], s["K"], 6, 1, 3,
+                              s["phi0"])
+        with pytest.raises(mb.ManyBodyError, match="one-body"):
+            mb.hartree_energy(s["h"][:6, :6], s["offsets"], s["K"], 6, 2, 3,
+                              s["phi0"])
+
     def test_noninteracting_ground_energy(self, modes):
         spb = mb.SingleParticleBasis(G_x=4, dx=0.5, eps=0.5,
                                      transverse_energies=modes.energies)
@@ -195,6 +311,18 @@ class TestPropagation:
                                  psi0, T=0.1, dt=0.01)
         static = mb.evolve_state(s["basis"], s["H"], psi0, T=0.1, dt=0.01)
         assert np.linalg.norm(frames[-1][1] - static[-1][1]) < 1e-10
+
+
+    @pytest.mark.parametrize("T, dt", [(0.0, 0.01), (-1.0, 0.1), (0.1, 0.0),
+                                       (0.1, -0.01), (0.0, None)])
+    def test_bad_time_or_step_refused(self, small_system, T, dt):
+        s = small_system
+        psi0 = mb.condensate_state(s["basis"], s["phi0"])
+        with pytest.raises(mb.ManyBodyError, match="must be positive"):
+            mb.evolve_state(s["basis"], s["H"], psi0, T=T, dt=dt)
+        with pytest.raises(mb.ManyBodyError, match="must be positive"):
+            mb.hartree_evolve(s["h"], s["offsets"], s["K"], 6, 2, 3,
+                              s["phi0"], T=T, dt=1e-3 if dt is None else dt)
 
 
 class TestObservables:
@@ -250,6 +378,38 @@ class TestHartree:
         e = [mb.hartree_energy(s["h"], s["offsets"], s["K"], 6, 2, 3, v)
              for _, v in frames[:: len(frames) // 5]]
         assert max(abs(v - e[0]) for v in e) < 1e-8
+
+    def test_pair_matrix_oracle(self):
+        # energy and right-hand side against the pair operator built from
+        # the docstring, at a random state that is not stationary
+        s, N = _wrapped_system(), 4
+        W = _pair_matrix(s["offsets"], s["K"], 3)
+        rng = np.random.default_rng(6)
+        phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        phi = phi / np.linalg.norm(phi)
+        e = np.vdot(phi, s["h"] @ phi).real + 0.5 * (N - 1) * np.einsum(
+            "pqsr,p,q,r,s->", W, phi.conj(), phi.conj(), phi, phi).real
+        assert abs(mb.hartree_energy(s["h"], s["offsets"], s["K"], 3, 2, N,
+                                     phi) - e) < 1e-12
+        rhs = -1j * (s["h"] @ phi + (N - 1) * np.einsum(
+            "pqsr,q,r,s->p", W, phi.conj(), phi, phi))
+        dt = 1e-6
+        frames = mb.hartree_evolve(s["h"], s["offsets"], s["K"], 3, 2, N,
+                                   phi, T=dt, dt=dt)
+        step = (frames[-1][1] - phi) / dt
+        assert np.linalg.norm(step - rhs) < 1e-4 * np.linalg.norm(rhs)
+
+    def test_external_potential_enters_per_site(self, small_system):
+        # V(t, x) at site g acts on both transverse modes of that site, like
+        # adding it to the one-body matrix
+        s = small_system
+        x = s["spb"].x
+        args = (s["offsets"], s["K"], 6, 2, 3, s["phi0"])
+        moved = mb.hartree_evolve(s["h"], *args, T=0.1, dt=1e-3, x=x,
+                                  v_ext=lambda t, x: np.cos(x))[-1][1]
+        ref = mb.hartree_evolve(s["h"] + np.diag(np.repeat(np.cos(x), 2)),
+                                *args, T=0.1, dt=1e-3)[-1][1]
+        assert np.abs(moved - ref).max() < 1e-12
 
     def test_matches_manybody_for_large_N_weak_coupling(self, small_system):
         # with the interaction switched off Hartree and one-body dynamics agree
