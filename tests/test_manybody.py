@@ -72,6 +72,34 @@ def _wrapped_system():
     return dict(h=mb.one_body_matrix(spb), offsets=np.arange(-2, 3), K=K)
 
 
+@pytest.fixture(scope="module")
+def criterion9_system():
+    """The criterion-9 system at N = 3: 16 sites, one transverse mode,
+    coupling lam / (N - 1) with lam = 4 K calibrated at N = 4, Fock
+    dimension 816 and ||H||_1 about 55."""
+    modes = tv.dirichlet_modes(tv.rectangle(np.pi, np.pi, n=63), m=1)
+    w = sc.bump_potential().scaled(15.0)
+    offsets, K = mb.mode_kernel(modes, w, sc.scaling_params(4, 0.5, 0.25), 0.5)
+    spb = mb.SingleParticleBasis(G_x=16, dx=0.5, eps=0.5,
+                                 transverse_energies=modes.energies[:1])
+    h = mb.one_body_matrix(spb)
+    basis = mb.build_basis(spb.d, 3)
+    H = mb.build_hamiltonian(basis, h, offsets, 4 * K / (3 - 1), G_x=16, m=1)
+    psi0 = mb.condensate_state(basis, np.linalg.eigh(h)[1][:, 0])
+    return dict(basis=basis, H=H, psi0=psi0)
+
+
+class _CountingMatrix:
+    """H whose products with vectors are counted."""
+
+    def __init__(self, H):
+        self.H, self.matvecs = H, 0
+
+    def __matmul__(self, x):
+        self.matvecs += 1
+        return self.H @ x
+
+
 def _symmetric(occ, N, d):
     """The normalized symmetric tensor with occupations occ."""
     t = np.zeros((d,) * N)
@@ -107,6 +135,15 @@ class TestBasis:
     def test_cap(self):
         with pytest.raises(mb.ManyBodyError, match="cap"):
             mb.build_basis(50, 10, cap=1000)
+
+    @pytest.mark.parametrize("d, N", [(3, -1), (0, 2), (0, 0)])
+    def test_no_basis_refused(self, d, N):
+        with pytest.raises(mb.ManyBodyError, match="no Fock basis"):
+            mb.build_basis(d, N)
+
+    def test_vacuum_lowering_refused(self):
+        with pytest.raises(mb.ManyBodyError, match="no Fock basis"):
+            mb.lower(mb.build_basis(3, 0), np.ones(1))
 
     def test_single_particle_basis_layout(self):
         spb = mb.SingleParticleBasis(G_x=4, dx=0.5, eps=0.5,
@@ -312,6 +349,67 @@ class TestPropagation:
         static = mb.evolve_state(s["basis"], s["H"], psi0, T=0.1, dt=0.01)
         assert np.linalg.norm(frames[-1][1] - static[-1][1]) < 1e-10
 
+    @pytest.mark.parametrize("dt", [2.0, 4.0])
+    def test_large_step_split_into_half_steps(self, criterion9_system,
+                                              monkeypatch, dt):
+        # dt ||H||_1 is 110 or 220, beyond what 40 Krylov vectors resolve
+        s = criterion9_system
+        steps = []
+        apply = mb.lanczos_expm_apply
+
+        def recorded(H, v, dt, *args, **kwargs):
+            steps.append(dt)
+            return apply(H, v, dt, *args, **kwargs)
+
+        monkeypatch.setattr(mb, "lanczos_expm_apply", recorded)
+        frames = mb.evolve_state(s["basis"], s["H"], s["psi0"], T=dt, dt=dt)
+        ref = mb.evolve_state_dense(s["H"], s["psi0"], [dt])[0][1]
+        assert [t for t, _ in frames] == [0.0, dt]
+        assert steps[0] == dt and dt / 2 in steps
+        assert np.linalg.norm(frames[-1][1] - ref) < 1e-10
+
+    def test_stops_at_error_estimate(self, small_system):
+        s = small_system
+        psi0 = mb.condensate_state(s["basis"], s["phi0"])
+        ref = mb.evolve_state_dense(s["H"], psi0, [0.01])[0][1]
+        H = _CountingMatrix(s["H"])
+        out = mb.lanczos_expm_apply(H, psi0, 0.01)
+        assert 2 < H.matvecs < 40
+        assert np.linalg.norm(out - ref) < 1e-12
+
+    def test_eigenvector_gets_phase(self, criterion9_system):
+        H = criterion9_system["H"]
+        E, U = np.linalg.eigh(H.toarray())
+        for i in (0, 400, len(E) - 1):
+            out = mb.lanczos_expm_apply(H, U[:, i], 0.7)
+            assert np.linalg.norm(out - np.exp(-0.7j * E[i]) * U[:, i]) < 1e-13
+
+    def test_real_and_zero_input(self, criterion9_system):
+        s = criterion9_system
+        v = s["psi0"].real.copy()
+        ref = mb.evolve_state_dense(s["H"], v.astype(complex), [0.3])[0][1]
+        assert np.linalg.norm(mb.lanczos_expm_apply(s["H"], v, 0.3) - ref) \
+            < 1e-12
+        zero = np.zeros(s["basis"].dim)
+        out = mb.lanczos_expm_apply(s["H"], zero, 0.3)
+        assert out.dtype == zero.dtype and not out.any()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_refused(self, criterion9_system, bad):
+        s = criterion9_system
+        H = s["H"].copy()
+        H.data[5] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(mb.ManyBodyError, match="non-finite"):
+                mb.lanczos_expm_apply(H, s["psi0"], 0.1)
+            with pytest.raises(mb.ManyBodyError, match="non-finite"):
+                mb.lanczos_expm_apply(s["H"], s["psi0"], bad)
+
+    def test_one_vector_refused(self, small_system):
+        s = small_system
+        psi0 = mb.condensate_state(s["basis"], s["phi0"])
+        with pytest.raises(mb.ManyBodyError, match="at least 2"):
+            mb.lanczos_expm_apply(s["H"], psi0, 0.01, kdim=1)
 
     @pytest.mark.parametrize("T, dt", [(0.0, 0.01), (-1.0, 0.1), (0.1, 0.0),
                                        (0.1, -0.01), (0.0, None)])
