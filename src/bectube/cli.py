@@ -2,9 +2,10 @@
 
 Subcommands: frame | modes | coeffs | evolve | manybody | converge | verify.
 Configs are JSON or INI-style key tables; every run writes into
-out_root/<digest>/ with config.json, scalars.json, series/*.csv and
-plots/*.svg, where <digest> hashes the normalized config so identical
-configs land in the same directory with bit-identical scalar outputs.
+out_root/<subcommand>-<digest>/ with config.json, scalars.json, record.json,
+series/*.csv and plots/*.svg, where <digest> hashes the normalized config:
+a rerun of one subcommand on one config lands in the same directory with
+bit-identical scalar outputs, and different subcommands never share one.
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 verification failure.
 """
@@ -139,10 +140,10 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def prepare_outdir(cfg: dict, out_override=None) -> Path:
+def prepare_outdir(cfg: dict, subcommand: str, out_override=None) -> Path:
     root = (out_override or os.environ.get("BECTUBE_OUT")
             or cfg["output"]["out_root"])
-    out = Path(root) / config_digest(cfg)
+    out = Path(root) / f"{subcommand}-{config_digest(cfg)}"
     (out / "series").mkdir(parents=True, exist_ok=True)
     (out / "plots").mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -291,18 +292,17 @@ def cmd_coeffs(cfg: dict, out: Path) -> dict:
 def _nls_setup(cfg: dict):
     sv = cfg["solver"]
     X, G = sv["X"], sv["G"]
+    modes = build_modes(cfg)
     if cfg["geometry"]["curve"] == "line" and not cfg["geometry"]["twist_rate"]:
         v_geom = np.zeros(G)
     else:
         frame, twist = build_frame(cfg)
-        modes = build_modes(cfg)
         vals = geometry.geometric_potential(frame, twist, modes.lchi2)
         grid = nls.Wave1D(X, np.zeros(G, dtype=complex)).x
         v_geom = np.interp(grid, frame.x, vals,
                            left=vals[0], right=vals[-1])
     pot = nls.Potential1D(v_geom=v_geom)
-    modes_b = build_modes(cfg)
-    b = scaling.b_coefficient(modes_b, scaling.bump_potential(),
+    b = scaling.b_coefficient(modes, scaling.bump_potential(),
                               cfg["scaling"]["regime"])
     return pot, b
 
@@ -360,18 +360,18 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float,
     frames = manybody.evolve_state(basis, H, psi0, T=T,
                                    dt=T / (steps * 4),
                                    store_every=4)
-    dt_h = min(1e-3, T / 1000)
+    # Hartree steps of at most min(1e-3, T/1000), rounded up to a multiple
+    # of the frame count: many-body frame k is Hartree frame k * stride
+    stride = -(-manybody._steps(T, min(1e-3, T / 1000))[0] // steps)
     hart = manybody.hartree_evolve(h_one, offsets, K, G_x, m, N, phi0,
-                                   T=T, dt=dt_h)
-    ht = np.array([f[0] for f in hart])
+                                   T=T, dt=T / (stride * steps))
 
     xi = sc["xi"]
     mweight = condensation.weight_m(N, xi)
     e0 = manybody.energy_per_particle(basis, psi0, H)
     rows = []
-    for tpsi, psi in frames:
-        idx = int(np.argmin(np.abs(ht - tpsi)))
-        phi_t = hart[idx][1]
+    for k, (tpsi, psi) in enumerate(frames):
+        t_phi, phi_t = hart[k * stride]
         phi_t = phi_t / np.linalg.norm(phi_t)
         ref = condensation.condensate_ref(phi_t)
         pk = condensation.sector_weights(basis, ref, psi)
@@ -382,7 +382,7 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float,
         g1 = manybody.reduced_density(basis, psi, M=1)
         tdist = manybody.trace_distance(g1, ref.projector)
         rows.append({
-            "t": tpsi, "alpha_n2": a_n2, "alpha_m": a_m,
+            "t": tpsi, "t_phi": t_phi, "alpha_n2": a_n2, "alpha_m": a_m,
             "alpha_xi": condensation.alpha_xi_value(a_m, e_psi, e_phi),
             "trace_dist": tdist, "e_psi": e_psi, "e_phi": e_phi,
             "excitation": manybody.excitation_probability(basis, psi, spb),
@@ -765,7 +765,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    out = prepare_outdir(cfg, args.out)
+    out = prepare_outdir(cfg, args.subcommand, args.out)
     t0 = time.time()
     try:
         scalars = COMMANDS[args.subcommand](cfg, out)

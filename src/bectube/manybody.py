@@ -18,10 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import RegularGridInterpolator
-from scipy.signal import fftconvolve
 
-from .scaling import PairPotential, ScalingPoint
+from .scaling import PairPotential, ScalingPoint, pair_kernel
 from .transverse import TransverseModes
 
 
@@ -175,67 +173,30 @@ def condensate_state(basis: FockBasis, phi: np.ndarray) -> np.ndarray:
 
 
 def mode_kernel(modes: TransverseModes, w: PairPotential, spt: ScalingPoint,
-                dx: float, n_fine: int = 201):
+                dx: float):
     """Transverse-projected x-kernel of the scaled interaction.
 
     Returns (offsets, K) where offsets are lattice displacements g' - g with
     nonzero coupling and K[o, a, b, c, d] is the pair-interaction matrix
     element between sites at distance offsets[o]*dx, transverse transitions
-    d->a on the first particle and c->b on the second.  Includes the full
+    d->a on the first particle and c->b on the second: ``pair_kernel`` at
+    x = offsets*dx divided by N, which gives the full
     w^{eps,beta,N}/(N-1) = (eps^2/(N mu^3)) w prefactor.
 
     When mu < 2 dx the kernel collapses to on-site with the lattice sum
-    preserving the transverse-weighted interaction mass.
+    preserving the transverse-weighted interaction mass (trapezoid over 201
+    points of [-mu, mu]).
     """
     eps, mu, N = spt.eps, spt.mu, spt.N
-    m = len(modes.energies)
-    h = modes.cs.h
-    n1, n2 = modes.chi[0].shape
-    lag1 = h * np.arange(-(n1 - 1), n1)
-    lag2 = h * np.arange(-(n2 - 1), n2)
-
-    # pair products chi_a chi_d and their lag correlations
-    prods = {}
-    for a in range(m):
-        for dd in range(a, m):
-            prods[(a, dd)] = prods[(dd, a)] = modes.chi[a] * modes.chi[dd]
-    corr = {}
-    for (a, dd), A in prods.items():
-        for (b, c), B in prods.items():
-            Q = fftconvolve(A, B[::-1, ::-1]) * h**2
-            corr[(a, dd, b, c)] = RegularGridInterpolator(
-                (lag1, lag2), Q, bounds_error=False, fill_value=0.0)
-
-    half = min(mu / eps, float(lag1[-1]))
-    n_lag = max(17, int(np.ceil(16 * half / (mu / eps))) | 1)
-    fy = np.linspace(-half, half, n_lag)
-    hf = fy[1] - fy[0]
-    FY1, FY2 = np.meshgrid(fy, fy, indexing="ij")
-    pts = np.stack([FY1.ravel(), FY2.ravel()], axis=-1)
-
-    def kernel_at(x_sep):
-        s = (x_sep**2 + eps**2 * (FY1**2 + FY2**2)) / mu**2
-        wv = np.where(s < 1.0, w.wt(np.minimum(s, 1.0)), 0.0)
-        K = np.zeros((m, m, m, m))
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    for dd in range(m):
-                        Q = corr[(a, dd, b, c)](pts).reshape(FY1.shape)
-                        K[a, b, c, dd] = np.sum(Q * wv) * hf**2
-        return eps**2 / (N * mu**3) * K
-
+    chi, h = modes.chi, modes.cs.h
     if mu < 2.0 * dx:
-        # on-site collapse: preserve the lattice-summed kernel mass
-        xf = np.linspace(-mu, mu, n_fine)
-        vals = np.stack([kernel_at(x) for x in xf])
-        mass = np.trapezoid(vals, xf, axis=0)      # (m,m,m,m)
+        xf = np.linspace(-mu, mu, 201)
+        mass = np.trapezoid(pair_kernel(chi, h, w, eps, mu, xf) / N, xf, axis=0)
         return np.array([0]), (mass / dx)[None, ...]
 
     n_off = int(np.floor(mu / dx))
     offsets = np.arange(-n_off, n_off + 1)
-    K = np.stack([kernel_at(o * dx) for o in offsets])
-    return offsets, K
+    return offsets, pair_kernel(chi, h, w, eps, mu, offsets * dx) / N
 
 
 # ---------------------------------------------------------------------------
@@ -458,10 +419,11 @@ def evolve_state_dense(H, psi0: np.ndarray, times: Sequence[float]):
 
 
 def _steps(T: float, dt: float):
-    """(n, T / n) with n = ceil(T / dt); T and dt must be positive."""
+    """(n, T / n) with n = ceil(T / dt - 1e-9), so that dt = T / n' gives
+    n' steps despite round-off in T / dt; T and dt must be positive."""
     if not (T > 0 and dt > 0):
         raise ManyBodyError(f"T = {T:g} and dt = {dt:g} must be positive")
-    n = max(1, int(np.ceil(T / dt)))
+    n = max(1, int(np.ceil(T / dt - 1e-9)))
     return n, T / n
 
 

@@ -299,44 +299,72 @@ def taylor_decompose(w: PairPotential, sp: ScalingPoint, frame: FrameField,
 # effective 1D kernel and coupling
 
 
+def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
+                x) -> np.ndarray:
+    """Transverse-projected pair kernel of the scaled interaction
+    (eps^2/mu^3) w((x, eps y)/mu) between real modes chi (m, n1, n2) sampled
+    with spacing h.
+
+    Returns K of shape (len(x), m, m, m, m) with
+
+        K[i, a, b, c, d] = (eps^2/mu^3) int int chi_a(y) chi_d(y)
+                           chi_b(y') chi_c(y') w((x_i, eps (y - y'))/mu) dy dy'.
+
+    The double integral is reduced to the lag correlation
+    Q(dy) = int chi_a chi_d(y) chi_b chi_c(y - dy) dy (smooth on the
+    cross-section scale), interpolated once onto a fine lag grid over the
+    interaction support |dy| < mu/eps and integrated against the sharp
+    profile at every x_i.  Since chi_a chi_d = chi_d chi_a, Q is computed
+    only for a <= d and b <= c.
+    """
+    chi = np.asarray(chi)
+    m, n1, n2 = chi.shape
+    lag1 = h * np.arange(-(n1 - 1), n1)
+    lag2 = h * np.arange(-(n2 - 1), n2)
+    # 17 x 17 lag points over the interaction support, clipped to the
+    # cross-section's lag range
+    half = min(mu / eps, float(lag1[-1]))
+    fy = np.linspace(-half, half, 17)
+    hf = fy[1] - fy[0]
+    FY1, FY2 = np.meshgrid(fy, fy, indexing="ij")
+    pts = np.stack([FY1.ravel(), FY2.ravel()], axis=-1)
+
+    # pair products chi_a chi_d (a <= d) and their lag correlations
+    pair = np.zeros((m, m), dtype=int)
+    prods = []
+    for a in range(m):
+        for dd in range(a, m):
+            pair[a, dd] = pair[dd, a] = len(prods)
+            prods.append(chi[a] * chi[dd])
+    Q = np.empty((len(prods), len(prods), len(pts)))
+    for p, A in enumerate(prods):
+        for q, B in enumerate(prods):
+            corr = fftconvolve(A, B[::-1, ::-1]) * h**2
+            Q[p, q] = RegularGridInterpolator(
+                (lag1, lag2), corr, bounds_error=False, fill_value=0.0)(pts)
+
+    x = np.asarray(x, dtype=float)
+    s = (x[:, None]**2 + eps**2 * (FY1**2 + FY2**2).ravel()) / mu**2
+    wv = np.where(s < 1.0, w.wt(np.minimum(s, 1.0)), 0.0)
+    K = eps**2 / mu**3 * np.einsum("pqf,if->ipq", Q, wv) * hf**2
+    return K[:, pair[:, None, None, :], pair[None, :, :, None]]
+
+
 def effective_kernel(modes: TransverseModes, w: PairPotential,
                      eps: float, mu: float, n_x: int = None):
     """Effective 1D kernel obtained by integrating the scaled interaction
-    against |chi_0|^2 in both transverse arguments.
+    against |chi_0|^2 in both transverse arguments: ``pair_kernel`` of the
+    ground mode on n_x points of [-mu, mu].
 
-    Returns (x_grid, kernel_values, mass).  The transverse double integral is
-    reduced to the autocorrelation of |chi_0|^2 (smooth on the cross-section
-    scale) integrated against the sharp interaction profile on a fine grid.
+    Returns (x_grid, kernel_values, mass).
     """
     if n_x is None:
         n_x = 33
     dx = 2.0 * mu / (n_x - 1)
     if dx > mu / 4.0:
         raise ScalingError("x-grid coarser than mu/4: kernel unresolved")
-    h = modes.cs.h
-    P = modes.chi[0] ** 2
-    # q(dy) = int |chi(y)|^2 |chi(y + dy)|^2 dy  on the (2n-1)^2 lag grid
-    q = fftconvolve(P, P[::-1, ::-1]) * h**2
-    n1, n2 = P.shape
-    lag1 = h * np.arange(-(n1 - 1), n1)
-    lag2 = h * np.arange(-(n2 - 1), n2)
-    q_interp = RegularGridInterpolator((lag1, lag2), q, bounds_error=False,
-                                       fill_value=0.0)
-
-    # fine lag grid restricted to the interaction support |dy| < mu/eps
-    half = min(mu / eps, float(lag1[-1]))
-    n_f = max(17, int(np.ceil(16 * half / (mu / eps))) | 1)
-    fy = np.linspace(-half, half, n_f)
-    hf = fy[1] - fy[0]
-    FY1, FY2 = np.meshgrid(fy, fy, indexing="ij")
-    qf = q_interp(np.stack([FY1.ravel(), FY2.ravel()], axis=-1)).reshape(FY1.shape)
-
     x = np.linspace(-mu, mu, n_x)
-    vals = np.empty(n_x)
-    for i, xi in enumerate(x):
-        s = (xi**2 + eps**2 * (FY1**2 + FY2**2)) / mu**2
-        wv = np.where(s < 1.0, w.wt(np.minimum(s, 1.0)), 0.0)
-        vals[i] = eps**2 / mu**3 * np.sum(qf * wv) * hf**2
+    vals = pair_kernel(modes.chi[:1], modes.cs.h, w, eps, mu, x)[:, 0, 0, 0, 0]
     mass = float(np.trapezoid(vals, x))
     return x, vals, mass
 

@@ -87,8 +87,8 @@ class TestPersistence:
 
     def test_outdir_layout(self, tmp_path):
         cfg = cli.load_config(None)
-        out = cli.prepare_outdir(cfg, out_override=tmp_path / "runs")
-        assert out.name == cli.config_digest(cfg)
+        out = cli.prepare_outdir(cfg, "modes", out_override=tmp_path / "runs")
+        assert out.name == f"modes-{cli.config_digest(cfg)}"
         assert (out / "config.json").exists()
         assert (out / "series").is_dir() and (out / "plots").is_dir()
 
@@ -136,7 +136,7 @@ class TestMain:
         assert set(scalars) >= {"E0", "gap", "q4", "lchi2"}
         record = json.loads((run_dir / "record.json").read_text())
         assert record["subcommand"] == "modes"
-        assert record["digest"] == run_dir.name
+        assert run_dir.name == f"modes-{record['digest']}"
         assert (run_dir / "series" / "energies.csv").exists()
         assert (run_dir / "plots" / "chi0.svg").exists()
 
@@ -157,6 +157,17 @@ class TestMain:
         first = (run_dir / "scalars.json").read_bytes()
         assert cli.main(["modes", "--config", str(p)]) == 0
         assert (run_dir / "scalars.json").read_bytes() == first
+
+    def test_subcommands_do_not_share_a_directory(self, outdir, tmp_path):
+        p = small_modes_config(tmp_path)
+        assert cli.main(["modes", "--config", str(p)]) == 0
+        assert cli.main(["frame", "--config", str(p)]) == 0
+        run_dirs = sorted((tmp_path / "runs").iterdir())
+        assert [d.name.split("-")[0] for d in run_dirs] == ["frame", "modes"]
+        for run_dir in run_dirs:
+            record = json.loads((run_dir / "record.json").read_text())
+            assert run_dir.name == f"{record['subcommand']}-{record['digest']}"
+            assert (run_dir / "scalars.json").is_file()
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):
@@ -180,3 +191,36 @@ class TestVerifyRegistry:
         names = [(m, n) for m, n, _ in checks]
         assert len(names) == len(set(names))
         assert len(checks) >= 20
+
+
+class TestRunSetup:
+    def test_curved_evolve_builds_modes_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = cli.transverse.dirichlet_modes
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli.transverse, "dirichlet_modes", counting)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({
+            "geometry": {"curve": "helix", "radius": 1.0, "pitch": 1.0,
+                         "twist_rate": 0.5, "n_nodes": 256},
+            "cross_section": {"n": 31, "m": 1}}))
+        pot, b = cli._nls_setup(cli.load_config(p))
+        assert len(calls) == 1
+        assert np.any(pot.v_geom != 0) and b > 0
+
+    def test_hartree_frames_at_many_body_times(self, tmp_path):
+        # T / 1e-3 = 1234.5 is not a multiple of the 10 frames: the Hartree
+        # step is shortened so that every frame time is a Hartree step
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"cross_section": {"n": 31, "m": 1},
+                                 "solver": {"G_x": 4}}))
+        cfg = cli.load_config(p)
+        rows = cli._manybody_point(cfg, 2, 0.25, cli.build_modes(cfg),
+                                   T=1.2345)
+        assert len(rows) == 11
+        assert rows[-1]["t"] == pytest.approx(1.2345, abs=1e-12)
+        assert max(abs(r["t"] - r["t_phi"]) for r in rows) < 1e-12

@@ -256,6 +256,39 @@ class TestKernel:
         assert len(offsets) > 1
         assert np.allclose(offsets, -offsets[::-1])
 
+    def test_resolved_kernel_matches_node_pair_sum(self):
+        # brute force: the double sum over cross-section node pairs of
+        # chi_a chi_d(y) chi_b chi_c(y') w((x, eps (y - y'))/mu) h^4 with the
+        # (eps^2/(N mu^3)) prefactor; the fine-lag-grid quadrature of
+        # mode_kernel differs from it by 1.6e-3 of max|K| on this grid, and
+        # pairing chi_a chi_b instead of chi_a chi_d by 8.9e-2
+        modes = tv.dirichlet_modes(tv.rectangle(np.pi, np.pi, n=31), m=2)
+        spt, w, dx = sc.scaling_params(3, 0.9, 0.3), sc.bump_potential(), 0.1
+        offsets, K = mb.mode_kernel(modes, w, spt, dx)
+        assert len(offsets) == 13
+        Y1, Y2 = np.meshgrid(modes.cs.y1, modes.cs.y2, indexing="ij")
+        y = np.stack([Y1.ravel(), Y2.ravel()], axis=-1)
+        dy2 = np.sum((y[:, None, :] - y[None, :, :]) ** 2, axis=-1)
+        chi = modes.chi.reshape(2, -1)
+        prods = chi[:, None, :] * chi[None, :, :]
+        pref = spt.eps**2 / (spt.N * spt.mu**3) * modes.cs.h**4
+        oracle = np.stack([
+            pref * np.einsum("adi,ij,bcj->abcd", prods, w.radial(
+                np.sqrt((o * dx) ** 2 + spt.eps**2 * dy2) / spt.mu), prods)
+            for o in offsets])
+        assert np.abs(K - oracle).max() < 5e-3 * np.abs(K).max()
+
+    def test_kernel_symmetries(self):
+        modes = tv.dirichlet_modes(tv.rectangle(np.pi, np.pi, n=31), m=2)
+        offsets, K = mb.mode_kernel(modes, sc.bump_potential(),
+                                    sc.scaling_params(3, 0.9, 0.3), 0.1)
+        assert np.array_equal(offsets, -offsets[::-1])
+        # real modes: chi_a chi_d = chi_d chi_a and chi_b chi_c = chi_c chi_b
+        assert np.abs(K - K.transpose(0, 4, 2, 3, 1)).max() < 1e-14
+        assert np.abs(K - K.transpose(0, 1, 3, 2, 4)).max() < 1e-14
+        # particle exchange: K[o, a, b, c, d] = K[-o, b, a, d, c]
+        assert np.abs(K - K[::-1].transpose(0, 2, 1, 4, 3)).max() < 1e-14
+
 
 class TestHamiltonian:
     def test_hermitian(self, small_system):
