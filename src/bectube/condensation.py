@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .manybody import FockBasis, lower
+from .manybody import FockBasis, _steps, lower
 
 
 class CondensationError(ValueError):
@@ -358,7 +358,8 @@ def hat_dynamics_check(h: Callable, f: WeightFn, N: int, d: int,
     """Defect of i d/dt f-hat = [H, f-hat] along a one-body trajectory.
 
     ``h`` maps t to the d x d one-body Hamiltonian; the reference phi(t) is
-    propagated with RK4 and the derivative of f-hat is taken by centered
+    propagated with RK4 in ceil(T/dt) steps, at least 2, so no step is
+    longer than dt, and the derivative of f-hat is taken by centered
     differences, so the defect is O(dt^2)."""
     phi = np.asarray(phi0, dtype=complex)
     phi = phi / np.linalg.norm(phi)
@@ -366,7 +367,7 @@ def hat_dynamics_check(h: Callable, f: WeightFn, N: int, d: int,
     def rhs(t, v):
         return -1j * (h(t) @ v)
 
-    n_steps = max(2, int(round(T / dt)))
+    n_steps = max(2, _steps(T, dt)[0])
     dt = T / n_steps
     frames = [phi.copy()]
     t = 0.0

@@ -299,41 +299,22 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
 # propagation
 
 
-# The Krylov vectors of one step are kept in blocks of this many rows, each
-# its own allocation.  Blocks this small are served from the malloc heap and
-# reuse the memory the Hamiltonian assembly freed.  One (kdim + 1, dim) array
-# lies above glibc's mmap threshold and is mapped fresh; at dim 54264 (23
-# vectors, the criterion-9 sweep at N = 6) that raised the peak RSS of the
-# sweep from 174 MB to 194 MB.
-_KRYLOV_BLOCK = 8
-
-
-def _project_out(w: np.ndarray, V: list) -> list:
-    """One classical Gram-Schmidt pass: subtract from w, in place, its
-    components along the orthonormal rows of the blocks V, and return the
-    coefficients block by block."""
-    h = [(B @ w.conj()).conj() for B in V]
-    for c, B in zip(h, V):
-        w -= c @ B
-    return h
-
-
 def lanczos_expm_apply(H, v: np.ndarray, dt: float, kdim: int = 40,
                        tol: float = 1e-12) -> np.ndarray:
-    """Apply exp(-i dt H) to v with a Lanczos Krylov approximation.
+    """Apply exp(-i dt H) to v, for Hermitian H, by the Lanczos method.
 
-    The Krylov vectors are stacked in blocks of rows; each new vector is
-    orthogonalized against all earlier ones by classical Gram-Schmidt,
-    done twice, with two matrix-vector products per block and pass.  After
-    k vectors the a posteriori estimate (Saad 1992; Hochbruck & Lubich 1997)
-    of the error relative to ||v|| is beta_k |[exp(-i dt T_k)]_{k,1}|, with
-    T_k the k x k tridiagonal projection of H and beta_k the norm of the
-    next residual.  The recurrence stops at the first k where it is <= tol
-    and returns ||v|| V_k^T exp(-i dt T_k) e_1; an invariant subspace
-    (beta_k = 0) stops it too.  When kdim vectors miss tol, the step is done
-    as two half steps of dt/2, each under the same rules.  A non-finite
-    estimate (from a non-finite H, v or dt) and kdim < 2 raise
-    ManyBodyError.
+    The Krylov vectors come from the plain three-term recurrence
+    beta_j u_{j+1} = H u_j - alpha_j u_j - beta_{j-1} u_{j-1}, with no
+    re-orthogonalization: they lose orthogonality in floating point, but
+    T_k, the tridiagonal matrix of the alpha_j and beta_j, is an exact
+    Lanczos matrix of a nearby spectrum, so the result keeps the accuracy of
+    a polynomial approximation of the exponential (Druskin, Greenbaum &
+    Knizhnerman 1998, SIAM J. Sci. Comput. 19:38; Musco, Musco & Sidford
+    2018, SODA).  It stops at the first k with beta_k = 0 or with the a
+    posteriori estimate (Saad 1992) of the error relative to ||v||,
+    beta_k |[exp(-i dt T_k)]_{k,1}|, <= tol.  When kdim vectors miss tol,
+    the step is two half steps of dt/2 under the same rules.  A non-finite
+    estimate or kdim < 2 raise ManyBodyError.
     """
     if kdim < 2:
         # with one vector the estimate is beta_1 for every dt, so half steps
@@ -342,29 +323,24 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, kdim: int = 40,
     beta0 = np.linalg.norm(v)
     if beta0 == 0:
         return v
-    blocks = []
-    alpha, beta = np.zeros(kdim), np.zeros(kdim)
-    u = v / beta0
+    T = np.zeros((kdim + 1, kdim + 1))
+    U = [v / beta0]
     for j in range(kdim):
-        k, r = j + 1, j % _KRYLOV_BLOCK
-        if r == 0:
-            blocks.append(np.empty((_KRYLOV_BLOCK, np.size(v)), dtype=complex))
-        blocks[-1][r] = u
-        V = blocks[:-1] + [blocks[-1][:r + 1]]
-        w = H @ blocks[-1][r]
-        h = _project_out(w, V)
-        _project_out(w, V)
-        alpha[j], beta[j] = h[-1][-1].real, np.linalg.norm(w)
-        T = np.diag(alpha[:k]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
-        evals, evecs = np.linalg.eigh(T)
+        k = j + 1
+        w = H @ U[j]
+        T[j, j] = np.vdot(U[j], w).real
+        w -= T[j, j] * U[j]
+        if j:
+            w -= T[j, j - 1] * U[j - 1]
+        T[j, k] = T[k, j] = np.linalg.norm(w)
+        evals, evecs = np.linalg.eigh(T[:k, :k])
         coef = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
-        err = beta[j] * abs(coef[-1])
+        err = T[k, j] * abs(coef[-1])
         if not np.isfinite(err):
             raise ManyBodyError(f"non-finite Krylov error estimate at k = {k}")
         if err <= tol:
-            coef = np.split(coef, range(_KRYLOV_BLOCK, k, _KRYLOV_BLOCK))
-            return beta0 * sum(c @ B for c, B in zip(coef, V))
-        u = w / beta[j]
+            return beta0 * sum(c * u for c, u in zip(coef, U))
+        U.append(w / T[k, j])
     half = lanczos_expm_apply(H, v, dt / 2, kdim, tol)
     return lanczos_expm_apply(H, half, dt / 2, kdim, tol)
 
@@ -373,16 +349,13 @@ def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
                  dt: float = None, store_every: int = None,
                  kdim: int = 40) -> list:
     """Propagate under a static H (matrix) or H(t) (callable, sampled at the
-    step midpoint); norm restored after each step.
+    step midpoint); returns a list of (t, psi) pairs.
 
     Each step of dt is one ``lanczos_expm_apply`` call with tolerance 1e-12
-    relative to the state's norm: its Krylov recurrence stops at the first
-    dimension whose a posteriori error estimate meets the tolerance, and a
-    step that kdim vectors cannot resolve is split into half steps inside
-    that call, so the stored times stay multiples of dt.
-
-    Returns a list of (t, psi) pairs.  For dimensions below 2000 a dense
-    eigendecomposition path is available via ``evolve_state_dense``.
+    relative to the state's norm; a step that kdim vectors cannot resolve
+    is split into half steps inside that call, so the stored times stay
+    multiples of dt.  psi0 is normalized, the steps are not: the stored
+    norms show the propagator's own drift.
     """
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
@@ -396,13 +369,10 @@ def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
         store_every = n_steps
     out = [(0.0, psi.copy())]
     for step in range(n_steps):
-        t_mid = (step + 0.5) * dt
-        Hmat = H(t_mid) if time_dep else H
+        Hmat = H((step + 0.5) * dt) if time_dep else H
         psi = lanczos_expm_apply(Hmat, psi, dt, kdim=kdim)
-        nrm = np.linalg.norm(psi)
-        if not np.isfinite(nrm) or nrm == 0:
+        if not np.isfinite(np.linalg.norm(psi)):
             raise ManyBodyError(f"propagation failed at step {step}")
-        psi = psi / nrm
         if (step + 1) % store_every == 0 or step == n_steps - 1:
             out.append(((step + 1) * dt, psi.copy()))
     return out

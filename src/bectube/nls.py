@@ -228,18 +228,18 @@ def energy_drift_check(traj: Sequence[Wave1D], pot: Potential1D,
 
 
 def ground_state(pot: Potential1D, b: float, X: float, G: int,
-                 tol: float = 1e-10, dt: float = None, max_iter: int = 200_000,
-                 seed_wave: Wave1D = None) -> Wave1D:
-    """Normalized energy minimizer by imaginary-time propagation with
-    renormalization after every step, polished by a self-consistent
-    eigensolve (the split fixed point alone carries an O(dt^2) bias).
+                 tol: float = 1e-10, dt: float = None) -> Wave1D:
+    """Normalized energy minimizer by imaginary-time propagation from the
+    constant wave (at most 2000 steps, renormalized after every step),
+    polished by a self-consistent eigensolve (the split fixed point alone
+    carries an O(dt^2) bias).
 
     Converged when the constrained gradient (H Phi - <Phi, H Phi> Phi) has
     norm below ``tol``.
     """
     if b < 0:
         raise NLSError("minimizer requires b >= 0")
-    w = seed_wave if seed_wave is not None else plane_wave(X, G, mode=0)
+    w = plane_wave(X, G, mode=0)
     v = w.values.astype(complex)
     x, k2, dx = w.x, w.k**2, w.dx
     vv = pot.total(0.0, x)
@@ -247,7 +247,7 @@ def ground_state(pot: Potential1D, b: float, X: float, G: int,
         dt = 0.5 / max(1.0, float(np.max(np.abs(vv))), float(np.max(k2)) / 8)
     half = np.exp(-0.5 * dt * k2)
     g = np.inf
-    for it in range(min(max_iter, 2000)):
+    for it in range(2000):
         v = np.fft.ifft(half * np.fft.fft(v))
         v = v * np.exp(-dt * (vv + b * np.abs(v) ** 2))
         v = np.fft.ifft(half * np.fft.fft(v))

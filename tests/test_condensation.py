@@ -134,6 +134,23 @@ class TestAlgebraSuites:
                                    phi0, T=0.1, dt=2e-3)
         assert 2.5 < d1 / d2 < 6.0
 
+    def test_hat_dynamics_honours_dt(self):
+        # T / dt = 100.5: the steps are T / 101, not T / 100 > dt
+        h0 = np.diag([1.0, 2.0, 3.0])
+        times = []
+
+        def h(t):
+            times.append(t)
+            return h0
+
+        phi0 = np.ones(3, dtype=complex)
+        cd.hat_dynamics_check(h, cd.weight_n(2, power=2.0), 2, 3, phi0,
+                              T=0.1005, dt=1e-3)
+        # RK4 samples every step at its start, middle and end
+        steps = 2 * np.diff(np.unique(np.round(times, 15)))
+        assert max(times) == pytest.approx(0.1005, abs=1e-15)
+        assert steps.max() <= 1e-3
+
 
 class TestMeasures:
     def test_perturbed_condensate_alpha(self):

@@ -410,6 +410,32 @@ class TestPropagation:
         assert 2 < H.matvecs < 40
         assert np.linalg.norm(out - ref) < 1e-12
 
+    def test_one_recurrence_past_default_kdim(self, criterion9_system):
+        # a random start at dt = 2 needs some 80 vectors: they lose
+        # orthogonality, which the plain recurrence does not restore, and
+        # the result still matches the dense propagator
+        s = criterion9_system
+        rng = np.random.default_rng(7)
+        v = rng.standard_normal(s["basis"].dim) \
+            + 1j * rng.standard_normal(s["basis"].dim)
+        v = v / np.linalg.norm(v)
+        H = _CountingMatrix(s["H"])
+        out = mb.lanczos_expm_apply(H, v, 2.0, kdim=120)
+        ref = mb.evolve_state_dense(s["H"], v, [2.0])[0][1]
+        assert 40 < H.matvecs <= 120
+        assert np.linalg.norm(out - ref) < 1e-12
+
+    def test_norm_not_restored(self, small_system, monkeypatch):
+        s = small_system
+        psi0 = mb.condensate_state(s["basis"], s["phi0"])
+        monkeypatch.setattr(mb, "lanczos_expm_apply",
+                            lambda H, v, dt, **kwargs: (1 + 1e-6) * v)
+        frames = mb.evolve_state(s["basis"], s["H"], psi0, T=0.05, dt=0.01,
+                                 store_every=1)
+        norms = [np.linalg.norm(p) for _, p in frames]
+        assert np.allclose(norms, (1 + 1e-6) ** np.arange(6), rtol=0,
+                           atol=1e-14)
+
     def test_eigenvector_gets_phase(self, criterion9_system):
         H = criterion9_system["H"]
         E, U = np.linalg.eigh(H.toarray())
