@@ -85,22 +85,36 @@ class FockBasis:
     def dim(self) -> int:
         return len(self.occupations)
 
+    @cached_property
+    def _binomials(self) -> np.ndarray:
+        """C(l + k - 1, k) at [i, l] with k = d - i - 1, for l = 0..N: the
+        rank's term for L_{i+1} = l, built once."""
+        return np.array([[comb(l + self.d - i - 2, self.d - i - 1)
+                          for l in range(self.N + 1)]
+                         for i in range(self.d - 1)], dtype=np.int64)
+
     def rank(self, occ: np.ndarray) -> np.ndarray:
         """Positions of the N-particle occupation vectors occ (rows, d),
         ranked column by column with a running L."""
         occ = np.asarray(occ)
         L = np.full(len(occ), self.N)
         out = np.zeros(len(occ), dtype=np.int64)
-        for i in range(self.d - 1):
-            k = self.d - i - 1
+        for i, table in enumerate(self._binomials):
             L -= occ[:, i]
-            out += np.array([comb(l + k - 1, k) for l in range(self.N + 1)])[L]
+            out += table[L]
         return out
 
     @cached_property
     def minus(self) -> "FockBasis":
         """The (N-1)-particle basis over the same modes, built once."""
         return build_basis(self.d, self.N - 1)
+
+    @cached_property
+    def lowering(self):
+        """``hop`` of every annihilator a_i into ``minus``, built once:
+        (modes, target rows, source rows, amplitudes)."""
+        return hop(self, self.minus, np.empty((self.d, 0)),
+                   np.arange(self.d)[:, None])
 
 
 def build_basis(d: int, N: int, cap: int = 10**6) -> FockBasis:
@@ -299,6 +313,14 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
 # propagation
 
 
+def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> of two contiguous complex vectors, as one real dot product
+    of their float views.  einsum, not BLAS: above 10000 entries OpenBLAS
+    threads zdotc and ddot, and the second thread they wake then spins
+    through the sparse matvec that follows."""
+    return float(np.einsum("i,i", a.view(float), b.view(float)))
+
+
 def lanczos_expm_apply(H, v: np.ndarray, dt: float, kdim: int = 40,
                        tol: float = 1e-12) -> np.ndarray:
     """Apply exp(-i dt H) to v, for Hermitian H, by the Lanczos method.
@@ -320,19 +342,20 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, kdim: int = 40,
         # with one vector the estimate is beta_1 for every dt, so half steps
         # could never meet tol
         raise ManyBodyError(f"kdim = {kdim}: need at least 2 Krylov vectors")
-    beta0 = np.linalg.norm(v)
+    u = np.ascontiguousarray(v, dtype=complex)
+    beta0 = np.sqrt(_re_dot(u, u))
     if beta0 == 0:
         return v
     T = np.zeros((kdim + 1, kdim + 1))
-    U = [v / beta0]
+    U = [u / beta0]
     for j in range(kdim):
         k = j + 1
         w = H @ U[j]
-        T[j, j] = np.vdot(U[j], w).real
+        T[j, j] = _re_dot(U[j], w)
         w -= T[j, j] * U[j]
         if j:
             w -= T[j, j - 1] * U[j - 1]
-        T[j, k] = T[k, j] = np.linalg.norm(w)
+        T[j, k] = T[k, j] = np.sqrt(_re_dot(w, w))
         evals, evecs = np.linalg.eigh(T[:k, :k])
         coef = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
         err = T[k, j] * abs(coef[-1])
@@ -371,7 +394,7 @@ def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
     for step in range(n_steps):
         Hmat = H((step + 0.5) * dt) if time_dep else H
         psi = lanczos_expm_apply(Hmat, psi, dt, kdim=kdim)
-        if not np.isfinite(np.linalg.norm(psi)):
+        if not np.isfinite(_re_dot(psi, psi)):
             raise ManyBodyError(f"propagation failed at step {step}")
         if (step + 1) % store_every == 0 or step == n_steps - 1:
             out.append(((step + 1) * dt, psi.copy()))
@@ -409,8 +432,7 @@ def lower(basis: FockBasis, psi: np.ndarray):
     each output entry receives a single amplitude.
     """
     minus = basis.minus
-    modes, tgt, src, amp = hop(basis, minus, np.empty((basis.d, 0)),
-                               np.arange(basis.d)[:, None])
+    modes, tgt, src, amp = basis.lowering
     psi = np.asarray(psi)
     out = np.zeros(psi.shape[:-1] + (basis.d, minus.dim), dtype=complex)
     out[..., modes, tgt] = amp * psi[..., src]

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.interpolate import RegularGridInterpolator, interp1d
-from scipy.signal import fftconvolve
-from scipy.stats import qmc
 
 from .geometry import FrameField, TwistSpec, embed
 from .transverse import TransverseModes
@@ -260,6 +259,9 @@ def taylor_decompose(w: PairPotential, sp: ScalingPoint, frame: FrameField,
     supremum of |R| over a quasi-random cloud of pairs restricted to
     ||f_eps(r1) - f_eps(r2)|| < mu.
     """
+    # scipy.stats costs about 0.4 s to import and only this sampler uses it
+    from scipy.stats import qmc
+
     eps, mu = sp.eps, sp.mu
     margin = 0.05 * (frame.x[-1] - frame.x[0])
     lo, hi = frame.x[0] + margin, frame.x[-1] - margin - 2 * mu
@@ -297,6 +299,17 @@ def taylor_decompose(w: PairPotential, sp: ScalingPoint, frame: FrameField,
 
 # ---------------------------------------------------------------------------
 # effective 1D kernel and coupling
+
+
+def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real arrays of one rank, no axis of
+    length one, by FFT with the arithmetic of ``scipy.signal.fftconvolve``:
+    both inputs padded to next_fast_len of the full shape, multiplied as
+    rfftn, back by irfftn and cut to the full shape."""
+    shape = [n + k - 1 for n, k in zip(a.shape, b.shape)]
+    fshape = [next_fast_len(n, True) for n in shape]
+    out = irfftn(rfftn(a, fshape) * rfftn(b, fshape), fshape)
+    return out[tuple(slice(n) for n in shape)]
 
 
 def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
@@ -339,7 +352,7 @@ def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
     Q = np.empty((len(prods), len(prods), len(pts)))
     for p, A in enumerate(prods):
         for q, B in enumerate(prods):
-            corr = fftconvolve(A, B[::-1, ::-1]) * h**2
+            corr = _full_convolve(A, B[::-1, ::-1]) * h**2
             Q[p, q] = RegularGridInterpolator(
                 (lag1, lag2), corr, bounds_error=False, fill_value=0.0)(pts)
 

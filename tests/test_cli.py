@@ -1,6 +1,10 @@
 """Tests for config ingestion, the output layout, and the CLI entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +195,21 @@ class TestVerifyRegistry:
         names = [(m, n) for m, n, _ in checks]
         assert len(names) == len(set(names))
         assert len(checks) >= 20
+
+
+class TestImports:
+    def test_start_up_leaves_slow_scipy_subpackages_unloaded(self):
+        # scipy.signal, scipy.stats and scipy.integrate took about 0.6 s of
+        # the CLI's start-up, and no subcommand needs them at import time
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import sys, bectube, bectube.cli; print(*sorted(m for m in "
+                "('scipy.signal', 'scipy.stats', 'scipy.integrate') "
+                "if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == []
 
 
 class TestRunSetup:

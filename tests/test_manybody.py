@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bectube import cli
 from bectube import condensation as cd
 from bectube import manybody as mb
 from bectube import scaling as sc
@@ -294,6 +295,23 @@ class TestHamiltonian:
     def test_hermitian(self, small_system):
         H = small_system["H"]
         assert abs(H - H.getH()).max() < 1e-12
+
+    def test_default_config_nnz(self):
+        # the default `manybody` system; symmetry-forbidden kernel entries
+        # sit near the 1e-16 assembly cut-off, so any change to the pair
+        # kernel's arithmetic can move this count
+        cfg = cli.load_config(None)
+        G_x, dx = cfg["solver"]["G_x"], cfg["solver"]["dx"]
+        N, eps, beta = (cfg["scaling"][k] for k in ("N", "eps", "beta"))
+        modes = cli.build_modes(cfg)
+        spb = mb.SingleParticleBasis(G_x=G_x, dx=dx, eps=eps,
+                                     transverse_energies=modes.energies)
+        offsets, K = mb.mode_kernel(modes, sc.bump_potential(),
+                                    sc.scaling_params(N, eps, beta), dx)
+        H = mb.build_hamiltonian(mb.build_basis(spb.d, N),
+                                 mb.one_body_matrix(spb), offsets, K,
+                                 G_x=G_x, m=spb.m)
+        assert H.shape == (3876, 3876) and H.nnz == 36260
 
     def test_condensate_energy_identity(self, small_system):
         # <phi^N, H phi^N>/N equals the mean-field energy functional exactly

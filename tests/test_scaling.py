@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 
 from bectube import geometry as geo
 from bectube import scaling as sc
@@ -155,6 +156,18 @@ class TestTaylorDecomposition:
         td = sc.taylor_decompose(sc.bump_potential(), p, circle_frame,
                                  geo.no_twist(), n_samples=1000)
         assert td.eps == 0.1 and td.mu == 0.2
+
+
+class TestFullConvolve:
+    @pytest.mark.parametrize("s1, s2", [((7, 7), (7, 7)), ((8, 8), (8, 8)),
+                                        ((5, 9), (6, 4)), ((63, 63), (63, 63))])
+    def test_bitwise_equal_to_fftconvolve(self, s1, s2):
+        rng = np.random.default_rng(sum(s1) + sum(s2))
+        a, b = rng.standard_normal(s1), rng.standard_normal(s2)
+        assert np.array_equal(sc._full_convolve(a, b), fftconvolve(a, b))
+        # the reversed view pair_kernel passes for a correlation
+        assert np.array_equal(sc._full_convolve(a, b[::-1, ::-1]),
+                              fftconvolve(a, b[::-1, ::-1]))
 
 
 class TestEffectiveKernel:
