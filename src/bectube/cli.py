@@ -336,10 +336,10 @@ def cmd_evolve(cfg: dict, out: Path) -> dict:
     }
 
 
-def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float,
-                    n_frames: int = 10):
+def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     """One (N, eps) run: exact evolution plus the lattice mean-field
-    reference, with condensation observables at stored times."""
+    reference, with condensation observables at the initial time and 10
+    stored times."""
     sv = cfg["solver"]
     sc = cfg["scaling"]
     G_x, m, dx = sv["G_x"], cfg["cross_section"]["m"], sv["dx"]
@@ -356,7 +356,7 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float,
     phi0 = evecs[:, 0].astype(complex)
     psi0 = manybody.condensate_state(basis, phi0)
 
-    steps = max(n_frames, 10)
+    steps = 10
     frames = manybody.evolve_state(basis, H, psi0, T=T,
                                    dt=T / (steps * 4),
                                    store_every=4)

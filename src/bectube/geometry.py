@@ -13,6 +13,7 @@ combined geometric potential.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -117,14 +118,15 @@ def sampled_curve(t: np.ndarray, points: np.ndarray) -> CurveSpec:
     return CurveSpec("sampled", float(t[0]), float(t[-1]), c=sp, dc=d1, ddc=d2)
 
 
-def reparameterize_arclength(curve: CurveSpec, tol: float = 1e-9,
-                             n_check: int = 2048) -> CurveSpec:
+def reparameterize_arclength(curve: CurveSpec) -> CurveSpec:
     """Return the same curve parametrized by arc length.
 
-    Constant-speed curves are rescaled exactly; otherwise the arc-length
-    function is inverted numerically on a fine grid.  Raises GeometryError if
-    the curve is not regular.
+    Constant-speed curves (speed constant to 1e-9 on 2048 samples) are
+    rescaled exactly; otherwise the arc-length function is inverted
+    numerically on a grid of 16 * 2048 points.  Raises GeometryError if the
+    curve is not regular (speed below 1e-9).
     """
+    tol, n_check = 1e-9, 2048
     tt = np.linspace(curve.x_min, curve.x_max, n_check)
     v = curve.speed(tt)
     if np.min(v) < tol:
@@ -231,15 +233,17 @@ class FrameField:
     def kappa(self) -> np.ndarray:
         return np.hypot(self.kappa1, self.kappa2)
 
-    @property
+    @cached_property
     def kappa_d1(self) -> np.ndarray:
-        """First derivative of (kappa1, kappa2), shape (n, 2)."""
+        """First derivative of (kappa1, kappa2), shape (n, 2); computed
+        once per frame."""
         return np.stack([_fd_derivative(self.kappa1, self.h_x, 1),
                          _fd_derivative(self.kappa2, self.h_x, 1)], axis=-1)
 
-    @property
+    @cached_property
     def kappa_d2(self) -> np.ndarray:
-        """Second derivative of (kappa1, kappa2), shape (n, 2)."""
+        """Second derivative of (kappa1, kappa2), shape (n, 2); computed
+        once per frame."""
         return np.stack([_fd_derivative(self.kappa1, self.h_x, 2),
                          _fd_derivative(self.kappa2, self.h_x, 2)], axis=-1)
 
@@ -301,67 +305,61 @@ def _fd_derivative(y: np.ndarray, h: float, order: int) -> np.ndarray:
     return out
 
 
-def bishop_frame(curve: CurveSpec, n_nodes: int = 1024,
-                 defect_tol: float = 1e-6) -> FrameField:
+def bishop_frame(curve: CurveSpec, n_nodes: int = 1024) -> FrameField:
     """Integrate the parallel-transport frame along a unit-speed curve.
 
     Classical RK4 on the normal vectors with e_j' = -<c'', e_j> c', the
     tangent taken exactly from c', and Gram-Schmidt re-orthonormalization
-    after every step.  Refines the step once if the frame defect exceeds
-    ``defect_tol``.
+    after every step, which holds the frame's orthonormality defect at
+    round-off on a unit-speed curve.  A defect above 1e-6 means the tangent
+    c' is not a unit vector, and is refused with GeometryError.
     """
     if not curve.arclength:
         raise GeometryError("bishop_frame requires an arc-length curve; "
                             "call reparameterize_arclength first")
+    x = np.linspace(curve.x_min, curve.x_max, n_nodes)
+    h = x[1] - x[0]
+    tau = curve.dc(x)
+    ddc = curve.ddc(x)
+    ddc_half = curve.ddc(0.5 * (x[:-1] + x[1:]))
+    dc_half = curve.dc(0.5 * (x[:-1] + x[1:]))
+    e1 = np.empty_like(tau)
+    e2 = np.empty_like(tau)
+    t0 = tau[0]
+    # initial normal: any unit vector orthogonal to tau(0)
+    trial = np.array([0.0, 1.0, 0.0])
+    if abs(np.dot(trial, t0)) > 0.9:
+        trial = np.array([0.0, 0.0, 1.0])
+    v = trial - np.dot(trial, t0) * t0
+    e1[0] = v / np.linalg.norm(v)
+    e2[0] = np.cross(t0, e1[0])
 
-    def integrate(n):
-        x = np.linspace(curve.x_min, curve.x_max, n)
-        h = x[1] - x[0]
-        tau = curve.dc(x)
-        ddc = curve.ddc(x)
-        ddc_half = curve.ddc(0.5 * (x[:-1] + x[1:]))
-        dc_half = curve.dc(0.5 * (x[:-1] + x[1:]))
-        e1 = np.empty_like(tau)
-        e2 = np.empty_like(tau)
-        t0 = tau[0]
-        # initial normal: any unit vector orthogonal to tau(0)
-        trial = np.array([0.0, 1.0, 0.0])
-        if abs(np.dot(trial, t0)) > 0.9:
-            trial = np.array([0.0, 0.0, 1.0])
-        v = trial - np.dot(trial, t0) * t0
-        e1[0] = v / np.linalg.norm(v)
-        e2[0] = np.cross(t0, e1[0])
+    def rhs(cpp, cp, e):
+        return -np.dot(cpp, e) * cp
 
-        def rhs(cpp, cp, e):
-            return -np.dot(cpp, e) * cp
+    for i in range(n_nodes - 1):
+        for e in (e1, e2):
+            k1 = rhs(ddc[i], tau[i], e[i])
+            k2 = rhs(ddc_half[i], dc_half[i], e[i] + 0.5 * h * k1)
+            k3 = rhs(ddc_half[i], dc_half[i], e[i] + 0.5 * h * k2)
+            k4 = rhs(ddc[i + 1], tau[i + 1], e[i] + h * k3)
+            e[i + 1] = e[i] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        # re-orthonormalize against the exact tangent
+        t = tau[i + 1]
+        u1 = e1[i + 1] - np.dot(e1[i + 1], t) * t
+        u1 /= np.linalg.norm(u1)
+        u2 = e2[i + 1] - np.dot(e2[i + 1], t) * t - np.dot(e2[i + 1], u1) * u1
+        u2 /= np.linalg.norm(u2)
+        e1[i + 1], e2[i + 1] = u1, u2
 
-        for i in range(n - 1):
-            for e in (e1, e2):
-                k1 = rhs(ddc[i], tau[i], e[i])
-                k2 = rhs(ddc_half[i], dc_half[i], e[i] + 0.5 * h * k1)
-                k3 = rhs(ddc_half[i], dc_half[i], e[i] + 0.5 * h * k2)
-                k4 = rhs(ddc[i + 1], tau[i + 1], e[i] + h * k3)
-                e[i + 1] = e[i] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-            # re-orthonormalize against the exact tangent
-            t = tau[i + 1]
-            u1 = e1[i + 1] - np.dot(e1[i + 1], t) * t
-            u1 /= np.linalg.norm(u1)
-            u2 = e2[i + 1] - np.dot(e2[i + 1], t) * t - np.dot(e2[i + 1], u1) * u1
-            u2 /= np.linalg.norm(u2)
-            e1[i + 1], e2[i + 1] = u1, u2
-
-        k1c = np.einsum("ni,ni->n", ddc, e1)
-        k2c = np.einsum("ni,ni->n", ddc, e2)
-        return FrameField(x=x, tau=tau, e1=e1, e2=e2, kappa1=k1c, kappa2=k2c,
-                          curve=curve)
-
-    frame = integrate(n_nodes)
-    if frame.orthonormality_defect() > defect_tol:
-        frame = integrate(2 * n_nodes - 1)
-        if frame.orthonormality_defect() > defect_tol:
-            raise GeometryError(
-                f"frame orthonormality defect {frame.orthonormality_defect():.3e} "
-                f"exceeds {defect_tol:.1e} even after refinement")
+    k1c = np.einsum("ni,ni->n", ddc, e1)
+    k2c = np.einsum("ni,ni->n", ddc, e2)
+    frame = FrameField(x=x, tau=tau, e1=e1, e2=e2, kappa1=k1c, kappa2=k2c,
+                       curve=curve)
+    defect = frame.orthonormality_defect()
+    if defect > 1e-6:
+        raise GeometryError(
+            f"frame orthonormality defect {defect:.3e} exceeds 1e-6")
     return frame
 
 
@@ -369,14 +367,15 @@ def bishop_frame(curve: CurveSpec, n_nodes: int = 1024,
 # overlap margin (heuristic, sampled proxy for the global non-overlap condition)
 
 
-def overlap_margin(curve: CurveSpec, n_samples: int = 512):
+def overlap_margin(curve: CurveSpec):
     """Largest sampled constants (c1, c2) with
     ||c(x1) - c(x2)|| >= min(c1 |x1 - x2|, c2) over all sampled pairs.
 
-    This is a sampled heuristic: distances are evaluated on a finite grid with
-    pairs closer than 3 grid spacings excluded.  Returns (c1, c2, feasible).
+    This is a sampled heuristic: distances are evaluated on a grid of 512
+    points with pairs closer than 3 grid spacings excluded.  Returns
+    (c1, c2, feasible).
     """
-    x = np.linspace(curve.x_min, curve.x_max, n_samples)
+    x = np.linspace(curve.x_min, curve.x_max, 512)
     h = x[1] - x[0]
     pts = curve.c(x)
     dx = np.abs(x[:, None] - x[None, :])
@@ -408,20 +407,30 @@ def _twisted_y(r, frame: FrameField, twist: TwistSpec):
 
 
 def embed(r, eps: float, frame: FrameField, twist: TwistSpec) -> np.ndarray:
-    """Embedding map: scale the cross-section by eps, twist it, and attach it
-    to the curve along the parallel frame."""
-    x, ty = _twisted_y(r, frame, twist)
-    rho, _ = metric_factors(r, eps, frame, twist)
-    if rho <= 0.0:
-        raise GeometryError(f"metric factor rho = {rho:.3e} <= 0 at x = {x:.4g}; "
-                            "eps too large for this curvature")
+    """Embedding map of points r = (x, y1, y2), an array of shape (..., 3):
+    scale the cross-section by eps, twist it, and attach it to the curve
+    along the parallel frame.  Refuses points where the metric factor
+    rho = 1 - (T_theta eps y . kappa) is not positive."""
+    r = np.asarray(r, dtype=float)
+    x, y1, y2 = r[..., 0], eps * r[..., 1], eps * r[..., 2]
+    th = np.asarray(twist.theta(x))
+    c, s = np.cos(th), np.sin(th)
+    ty = np.stack([c * y1 - s * y2, s * y1 + c * y2], axis=-1)
+    rho = 1.0 - np.sum(ty * frame.kappa_vec_at(x), axis=-1)
+    if np.any(rho <= 0.0):
+        i = np.unravel_index(np.argmin(rho), rho.shape)
+        raise GeometryError(
+            f"metric factor rho = {rho[i]:.3e} <= 0 at x = {x[i]:.4g}; "
+            "eps too large for this curvature")
     e1, e2 = frame.frame_at(x)
-    return frame.curve.c(x) + eps * ty[0] * e1 + eps * ty[1] * e2
+    return frame.curve.c(x) + ty[..., :1] * e1 + ty[..., 1:] * e2
 
 
-def embed_jacobian_det(r, eps: float, frame: FrameField, twist: TwistSpec,
-                       h: float = 1e-5) -> float:
-    """Central finite-difference Jacobian determinant of the embedding."""
+def embed_jacobian_det(r, eps: float, frame: FrameField,
+                       twist: TwistSpec) -> float:
+    """Central finite-difference Jacobian determinant of the embedding, with
+    step 1e-5."""
+    h = 1e-5
     r = np.asarray(r, dtype=float)
     J = np.empty((3, 3))
     for j in range(3):

@@ -321,8 +321,8 @@ def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i", a.view(float), b.view(float)))
 
 
-def lanczos_expm_apply(H, v: np.ndarray, dt: float, kdim: int = 40,
-                       tol: float = 1e-12) -> np.ndarray:
+def lanczos_expm_apply(H, v: np.ndarray, dt: float,
+                       kdim: int = 40) -> np.ndarray:
     """Apply exp(-i dt H) to v, for Hermitian H, by the Lanczos method.
 
     The Krylov vectors come from the plain three-term recurrence
@@ -334,13 +334,13 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, kdim: int = 40,
     Knizhnerman 1998, SIAM J. Sci. Comput. 19:38; Musco, Musco & Sidford
     2018, SODA).  It stops at the first k with beta_k = 0 or with the a
     posteriori estimate (Saad 1992) of the error relative to ||v||,
-    beta_k |[exp(-i dt T_k)]_{k,1}|, <= tol.  When kdim vectors miss tol,
-    the step is two half steps of dt/2 under the same rules.  A non-finite
-    estimate or kdim < 2 raise ManyBodyError.
+    beta_k |[exp(-i dt T_k)]_{k,1}|, <= 1e-12.  When kdim vectors miss that
+    tolerance, the step is two half steps of dt/2 under the same rules.  A
+    non-finite estimate or kdim < 2 raise ManyBodyError.
     """
     if kdim < 2:
         # with one vector the estimate is beta_1 for every dt, so half steps
-        # could never meet tol
+        # could never meet the tolerance
         raise ManyBodyError(f"kdim = {kdim}: need at least 2 Krylov vectors")
     u = np.ascontiguousarray(v, dtype=complex)
     beta0 = np.sqrt(_re_dot(u, u))
@@ -361,39 +361,35 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float, kdim: int = 40,
         err = T[k, j] * abs(coef[-1])
         if not np.isfinite(err):
             raise ManyBodyError(f"non-finite Krylov error estimate at k = {k}")
-        if err <= tol:
+        if err <= 1e-12:
             return beta0 * sum(c * u for c, u in zip(coef, U))
         U.append(w / T[k, j])
-    half = lanczos_expm_apply(H, v, dt / 2, kdim, tol)
-    return lanczos_expm_apply(H, half, dt / 2, kdim, tol)
+    half = lanczos_expm_apply(H, v, dt / 2, kdim)
+    return lanczos_expm_apply(H, half, dt / 2, kdim)
 
 
 def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
-                 dt: float = None, store_every: int = None,
-                 kdim: int = 40) -> list:
+                 dt: float, store_every: int = None) -> list:
     """Propagate under a static H (matrix) or H(t) (callable, sampled at the
-    step midpoint); returns a list of (t, psi) pairs.
+    step midpoint) over T in steps of the required dt, shortened to
+    T / ceil(T / dt); returns a list of (t, psi) pairs.
 
     Each step of dt is one ``lanczos_expm_apply`` call with tolerance 1e-12
-    relative to the state's norm; a step that kdim vectors cannot resolve
-    is split into half steps inside that call, so the stored times stay
-    multiples of dt.  psi0 is normalized, the steps are not: the stored
-    norms show the propagator's own drift.
+    relative to the state's norm and at most 40 Krylov vectors; a step that
+    they cannot resolve is split into half steps inside that call, so the
+    stored times stay multiples of dt.  psi0 is normalized, the steps are
+    not: the stored norms show the propagator's own drift.
     """
     psi = np.asarray(psi0, dtype=complex)
     psi = psi / np.linalg.norm(psi)
     time_dep = callable(H)
-    if dt is None:
-        Hmat = H(0.0) if time_dep else H
-        hnorm = abs(Hmat).sum(axis=1).max()
-        dt = min(T, max(1e-3, 10.0 / float(hnorm)))
     n_steps, dt = _steps(T, dt)
     if store_every is None:
         store_every = n_steps
     out = [(0.0, psi.copy())]
     for step in range(n_steps):
         Hmat = H((step + 0.5) * dt) if time_dep else H
-        psi = lanczos_expm_apply(Hmat, psi, dt, kdim=kdim)
+        psi = lanczos_expm_apply(Hmat, psi, dt)
         if not np.isfinite(_re_dot(psi, psi)):
             raise ManyBodyError(f"propagation failed at step {step}")
         if (step + 1) % store_every == 0 or step == n_steps - 1:
@@ -415,7 +411,7 @@ def _steps(T: float, dt: float):
     """(n, T / n) with n = ceil(T / dt - 1e-9), so that dt = T / n' gives
     n' steps despite round-off in T / dt; T and dt must be positive."""
     if not (T > 0 and dt > 0):
-        raise ManyBodyError(f"T = {T:g} and dt = {dt:g} must be positive")
+        raise ManyBodyError(f"T = {T} and dt = {dt} must be positive")
     n = max(1, int(np.ceil(T / dt - 1e-9)))
     return n, T / n
 
@@ -483,12 +479,12 @@ def energy_per_particle(basis: FockBasis, psi: np.ndarray, H) -> float:
     return float(np.vdot(psi, H @ psi).real / basis.N)
 
 
-def g_function(e0: float, t: float, vdot_sup: Callable = None,
-               n_quad: int = 64) -> float:
-    """g(t) with g(t)^2 = 1 + |E(0)| + int_0^t sup_x |dV/dt(s)| ds."""
+def g_function(e0: float, t: float, vdot_sup: Callable = None) -> float:
+    """g(t) with g(t)^2 = 1 + |E(0)| + int_0^t sup_x |dV/dt(s)| ds, the
+    integral by the trapezoid rule on 64 points."""
     g2 = 1.0 + abs(e0)
     if vdot_sup is not None and t > 0:
-        s = np.linspace(0.0, t, n_quad)
+        s = np.linspace(0.0, t, 64)
         g2 += float(np.trapezoid([vdot_sup(si) for si in s], s))
     return float(np.sqrt(g2))
 

@@ -53,9 +53,9 @@ class Wave1D:
     def normalized(self) -> "Wave1D":
         return replace(self, values=self.values / np.sqrt(self.mass()))
 
-    def boundary_mass(self, fraction: float = 0.1) -> float:
-        """Mass within ``fraction`` of the box size from each boundary."""
-        n = max(1, int(self.G * fraction))
+    def boundary_mass(self) -> float:
+        """Mass within a tenth of the box size from each boundary."""
+        n = max(1, int(self.G * 0.1))
         p = np.abs(self.values) ** 2
         return float(self.dx * (p[:n].sum() + p[-n:].sum()))
 
@@ -134,9 +134,10 @@ def sobolev_norms(w: Wave1D):
     return sup2, h1, h2, grad_dens
 
 
-def sobolev_check(w: Wave1D, slack: float = 1e-10) -> dict:
+def sobolev_check(w: Wave1D) -> dict:
     """Discrete Sobolev chain: sup^2 <= H1^2 <= H2^2 and the gradient-of-
-    density bound; returns the norms and violation flags."""
+    density bound, each up to 1e-10; returns the norms and violation flags."""
+    slack = 1e-10
     sup2, h1, h2, grad_dens = sobolev_norms(w)
     bound = 2.0 * np.sqrt(sup2) * np.sqrt(h1)
     return {
@@ -146,14 +147,13 @@ def sobolev_check(w: Wave1D, slack: float = 1e-10) -> dict:
     }
 
 
-def energy(w: Wave1D, pot: Potential1D, b: float, t: float = None) -> float:
-    """<Phi, (-d^2/dx^2 + V + (b/2)|Phi|^2) Phi> with spectral derivative."""
-    if t is None:
-        t = w.t
+def energy(w: Wave1D, pot: Potential1D, b: float) -> float:
+    """<Phi, (-d^2/dx^2 + V(t) + (b/2)|Phi|^2) Phi> at the wave's time t,
+    with spectral derivative."""
     ft = np.fft.fft(w.values)
     kin = float(w.dx / w.G * np.sum(w.k**2 * np.abs(ft) ** 2))
     dens = np.abs(w.values) ** 2
-    potE = float(w.dx * np.sum(pot.total(t, w.x) * dens))
+    potE = float(w.dx * np.sum(pot.total(w.t, w.x) * dens))
     nl = float(0.5 * b * w.dx * np.sum(dens**2))
     return kin + potE + nl
 
@@ -212,7 +212,7 @@ def energy_drift_check(traj: Sequence[Wave1D], pot: Potential1D,
     using centered differences in time."""
     if len(traj) < 3:
         raise NLSError("trajectory must contain at least 3 frames")
-    E = np.array([energy(w, pot, b, w.t) for w in traj])
+    E = np.array([energy(w, pot, b) for w in traj])
     t = np.array([w.t for w in traj])
     defect = 0.0
     for i in range(1, len(traj) - 1):
@@ -228,9 +228,10 @@ def energy_drift_check(traj: Sequence[Wave1D], pot: Potential1D,
 
 
 def ground_state(pot: Potential1D, b: float, X: float, G: int,
-                 tol: float = 1e-10, dt: float = None) -> Wave1D:
+                 tol: float = 1e-10) -> Wave1D:
     """Normalized energy minimizer by imaginary-time propagation from the
-    constant wave (at most 2000 steps, renormalized after every step),
+    constant wave (at most 2000 steps of
+    dt = 0.5 / max(1, max |V|, max k^2 / 8), renormalized after every step),
     polished by a self-consistent eigensolve (the split fixed point alone
     carries an O(dt^2) bias).
 
@@ -243,8 +244,7 @@ def ground_state(pot: Potential1D, b: float, X: float, G: int,
     v = w.values.astype(complex)
     x, k2, dx = w.x, w.k**2, w.dx
     vv = pot.total(0.0, x)
-    if dt is None:
-        dt = 0.5 / max(1.0, float(np.max(np.abs(vv))), float(np.max(k2)) / 8)
+    dt = 0.5 / max(1.0, float(np.max(np.abs(vv))), float(np.max(k2)) / 8)
     half = np.exp(-0.5 * dt * k2)
     g = np.inf
     for it in range(2000):

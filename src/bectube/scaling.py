@@ -156,8 +156,8 @@ def bump_potential() -> PairPotential:
     )
 
 
-def validate_potential(w: PairPotential, n_check: int = 257) -> None:
-    s = np.linspace(0.0, 2.0, n_check)
+def validate_potential(w: PairPotential) -> None:
+    s = np.linspace(0.0, 2.0, 257)
     if np.any(w.wt(np.minimum(s, 1.0) * (s < 1.0)) < -1e-14):
         raise ScalingError("pair potential must be nonnegative")
     if np.any(np.abs(w.wt(s[s >= 1.0] * 0 + 1.0)) > 1e-14):
@@ -171,25 +171,18 @@ def _r_eps(r, eps):
     return out
 
 
-def scaled_pair(w: PairPotential, sp: ScalingPoint,
-                frame: FrameField = None, twist: TwistSpec = None):
+def scaled_pair(w: PairPotential, sp: ScalingPoint):
     """Evaluator of the scaled two-body interaction
-    (N-1) (a/mu^3) w((f_eps(r1) - f_eps(r2)) / mu).
-
-    For a straight untwisted guide (frame is None) the embedding is the plain
-    coordinate scaling r -> (x, eps y).
+    (N-1) (a/mu^3) w((r_eps(r1) - r_eps(r2)) / mu) in the straight untwisted
+    guide, whose embedding is the coordinate scaling r -> (x, eps y).  In a
+    curved guide ``TaylorDecomposition.exact`` evaluates the interaction
+    through the embedding.
     """
     pref = (sp.N - 1) * sp.a / sp.mu**3
 
-    if frame is None:
-        def value(r1, r2):
-            d = _r_eps(r1, sp.eps) - _r_eps(r2, sp.eps)
-            return pref * float(w(d / sp.mu))
-    else:
-        def value(r1, r2):
-            d = (embed(r1, sp.eps, frame, twist)
-                 - embed(r2, sp.eps, frame, twist))
-            return pref * float(w(d / sp.mu))
+    def value(r1, r2):
+        d = _r_eps(r1, sp.eps) - _r_eps(r2, sp.eps)
+        return pref * float(w(d / sp.mu))
 
     return value
 
@@ -198,16 +191,15 @@ def scaled_pair(w: PairPotential, sp: ScalingPoint,
 # Taylor decomposition in the curved guide
 
 
-def _f_theta(r, frame: FrameField, twist: TwistSpec):
-    """Unscaled embedding f(T_theta(r)) for points r = (x, y)."""
-    r = np.asarray(r, dtype=float)
-    x, y = r[..., 0], r[..., 1:]
-    th = np.asarray(twist.theta(x))
-    c, s = np.cos(th), np.sin(th)
-    ty1 = c * y[..., 0] - s * y[..., 1]
-    ty2 = s * y[..., 0] + c * y[..., 1]
-    e1, e2 = frame.frame_at(x)
-    return (frame.curve.c(x) + ty1[..., None] * e1 + ty2[..., None] * e2)
+def _remainder(r1, r2, eps: float, mu: float, frame: FrameField,
+               twist: TwistSpec):
+    """(R, df) for pairs of points r1, r2 of shape (..., 3): the embedded
+    separation df = f_eps(r2) - f_eps(r1) and the remainder
+    R = (|df|^2 - |r_eps(r2) - r_eps(r1)|^2) / mu^2 of its square."""
+    df = embed(r2, eps, frame, twist) - embed(r1, eps, frame, twist)
+    d = _r_eps(r2, eps) - _r_eps(r1, eps)
+    R = (np.sum(df * df, axis=-1) - np.sum(d * d, axis=-1)) / mu**2
+    return R, df
 
 
 @dataclass
@@ -225,44 +217,40 @@ class TaylorDecomposition:
     rbar_samples: int
 
     def exact(self, r1, r2):
-        d = (_f_theta(_r_eps(r1, self.eps), self.frame, self.twist)
-             - _f_theta(_r_eps(r2, self.eps), self.frame, self.twist))
+        d = (embed(r1, self.eps, self.frame, self.twist)
+             - embed(r2, self.eps, self.frame, self.twist))
         return self.eps**2 / self.mu**3 * float(self.w(d / self.mu))
 
     def w0(self, r1, r2):
         d = _r_eps(r1, self.eps) - _r_eps(r2, self.eps)
         return self.eps**2 / self.mu**3 * float(self.w(d / self.mu))
 
-    def _R(self, r1, r2):
-        a = _r_eps(r1, self.eps)
-        b = _r_eps(r2, self.eps)
-        df = _f_theta(b, self.frame, self.twist) - _f_theta(a, self.frame, self.twist)
-        return (float(df @ df) - float((b - a) @ (b - a))) / self.mu**2
-
     def t1(self, r1, r2):
         d = _r_eps(r2, self.eps) - _r_eps(r1, self.eps)
         s = float(d @ d) / self.mu**2
         if s >= 1.0:
             return 0.0
-        return self._R(r1, r2) * self.eps**2 / self.mu**3 * float(self.w.dwt(s))
+        R, _ = _remainder(r1, r2, self.eps, self.mu, self.frame, self.twist)
+        return float(R) * self.eps**2 / self.mu**3 * float(self.w.dwt(s))
 
     def t2(self, r1, r2):
         return self.exact(r1, r2) - self.w0(r1, r2) - self.t1(r1, r2)
 
 
 def taylor_decompose(w: PairPotential, sp: ScalingPoint, frame: FrameField,
-                     twist: TwistSpec, y_halfwidth: float = 0.5,
+                     twist: TwistSpec,
                      n_samples: int = 10_000) -> TaylorDecomposition:
     """Decompose the scaled interaction and sample the remainder supremum.
 
     The remainder only matters on the interaction support, so ``rbar`` is the
-    supremum of |R| over a quasi-random cloud of pairs restricted to
-    ||f_eps(r1) - f_eps(r2)|| < mu.
+    supremum of |R| over a quasi-random cloud of pairs with |y| <= 0.5 in
+    each transverse coordinate, restricted to ||f_eps(r1) - f_eps(r2)|| < mu.
     """
     # scipy.stats costs about 0.4 s to import and only this sampler uses it
     from scipy.stats import qmc
 
     eps, mu = sp.eps, sp.mu
+    y_halfwidth = 0.5
     margin = 0.05 * (frame.x[-1] - frame.x[0])
     lo, hi = frame.x[0] + margin, frame.x[-1] - margin - 2 * mu
 
@@ -281,13 +269,9 @@ def taylor_decompose(w: PairPotential, sp: ScalingPoint, frame: FrameField,
     r2[:, 2] = np.clip(r1[:, 2] + (2 * u[:, 5] - 1) * dy_scale,
                        -y_halfwidth, y_halfwidth)
 
-    f1 = _f_theta(_r_eps(r1, eps), frame, twist)
-    f2 = _f_theta(_r_eps(r2, eps), frame, twist)
-    on_support = np.linalg.norm(f1 - f2, axis=-1) < mu
-    a = _r_eps(r1[on_support], eps)
-    b = _r_eps(r2[on_support], eps)
-    df = f2[on_support] - f1[on_support]
-    R = (np.sum(df * df, axis=-1) - np.sum((b - a) ** 2, axis=-1)) / mu**2
+    R, df = _remainder(r1, r2, eps, mu, frame, twist)
+    on_support = np.linalg.norm(df, axis=-1) < mu
+    R = R[on_support]
     rbar = float(np.max(np.abs(R))) if len(R) else 0.0
 
     straight = frame.orthonormality_defect() < 1e-12 and np.max(frame.kappa) < 1e-14
@@ -398,11 +382,11 @@ def b_coefficient(modes: TransverseModes, w: PairPotential,
 # mean-field convolution defect
 
 
-def _radial_ft_table(w: PairPotential, k_max: float, n: int = 4096):
-    """Radial 3D Fourier transform of w on [0, k_max]:
+def _radial_ft_table(w: PairPotential, k_max: float):
+    """Radial 3D Fourier transform of w on 4096 points of [0, k_max]:
     4 pi int_0^1 r^2 w(r) sinc(k r) dr by 64-node Gauss-Legendre on the unit
     ball's radius, all k in one matrix product."""
-    k = np.linspace(0.0, k_max, n)
+    k = np.linspace(0.0, k_max, 4096)
     r, wq = np.polynomial.legendre.leggauss(64)
     r, wq = 0.5 * (r + 1.0), 0.5 * wq
     vals = 4 * np.pi * np.sinc(np.outer(k, r) / np.pi) @ (wq * r**2 * w.radial(r))
@@ -410,8 +394,7 @@ def _radial_ft_table(w: PairPotential, k_max: float, n: int = 4096):
 
 
 def convolution_defect(w: PairPotential, eps: float, mu: float,
-                       sigma: float = 1.0, n_xi: int = 64,
-                       xi_max: float = None) -> float:
+                       sigma: float = 1.0, n_xi: int = 64) -> float:
     """L2 defect of the anisotropically scaled interaction acting as an
     approximate identity on a Gaussian of width ``sigma``, normalized by the
     Gaussian's gradient norm.
@@ -419,7 +402,8 @@ def convolution_defect(w: PairPotential, eps: float, mu: float,
     Computed in Fourier space via Plancherel: the convolution kernel
     (eps^2/mu^3) w((x, eps y)/mu) has transform what(mu xi_x, (mu/eps) xi_y),
     so the defect is the L2 norm of (what - what(0)) fhat against the exact
-    Gaussian transform.  Both mu and mu/eps must be resolved by the xi-grid.
+    Gaussian transform on n_xi^3 points of [-8/sigma, 8/sigma]^3.  Both mu
+    and mu/eps must be resolved by the xi-grid.
 
     Rate: for a radial ``w`` the transform is even, so what(K) - what(0)
     = -(M2/6) K^2 + O(K^4) with M2 = int |r|^2 w, and on fixed smooth data
@@ -428,8 +412,7 @@ def convolution_defect(w: PairPotential, eps: float, mu: float,
     uniformly over all data; it is an upper bound, sharp only over that
     whole class.
     """
-    if xi_max is None:
-        xi_max = 8.0 / sigma
+    xi_max = 8.0 / sigma
     if xi_max * max(mu, mu / eps) < 0.05:
         raise ScalingError("xi-grid does not resolve the kernel scales")
     what = _radial_ft_table(w, k_max=2.0 * xi_max * max(mu, mu / eps) + 1.0)
@@ -444,14 +427,15 @@ def convolution_defect(w: PairPotential, eps: float, mu: float,
 
 
 def convolution_defect_direct(w: PairPotential, eps: float, mu: float,
-                              sigma: float = 1.0, box: float = 5.0,
-                              n: int = 96) -> float:
-    """Real-space oracle for the convolution defect (3D grid quadrature).
+                              sigma: float = 1.0) -> float:
+    """Real-space oracle for the convolution defect (3D grid quadrature on
+    96^3 points of the periodic box [-5, 5)^3).
 
-    Only feasible when mu and mu/eps are not much smaller than box/n; used to
-    cross-check the spectral path at moderate scale separation.
+    Only feasible when mu and mu/eps are not much smaller than the spacing
+    10/96; used to cross-check the spectral path at moderate scale
+    separation.
     """
-    x = np.linspace(-box, box, n, endpoint=False)
+    x = np.linspace(-5.0, 5.0, 96, endpoint=False)
     d = x[1] - x[0]
     if d > mu / 4.0:
         raise ScalingError("quadrature grid coarser than mu/4")

@@ -116,7 +116,7 @@ class TransverseModes:
     cs: CrossSection
     energies: np.ndarray      # (m,)
     chi: np.ndarray           # (m, n1, n2), zero outside the mask
-    origin: tuple = None      # origin for the angular-momentum operator
+    origin: tuple             # origin of the angular momentum: mask centroid
 
     @property
     def e0(self) -> float:
@@ -213,13 +213,14 @@ def _laplacian(cs: CrossSection) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))))
 
 
-def dirichlet_modes(cs: CrossSection, m: int = 1, tol: float = 1e-9,
-                    origin=None) -> TransverseModes:
+def dirichlet_modes(cs: CrossSection, m: int = 1) -> TransverseModes:
     """Compute the m lowest eigenpairs.
 
-    Shift-invert Lanczos with a deterministic start vector.  The ground state
-    must be simple and nodeless; both are checked.
+    Shift-invert Lanczos (ARPACK, tolerance 1e-9) with a deterministic start
+    vector.  The ground state must be simple and nodeless; both are checked.
+    The angular momentum is taken about the centroid of the mask.
     """
+    tol = 1e-9
     if m < 1:
         raise CrossSectionError("m must be >= 1")
     if cs.mask.sum() <= 100:
@@ -258,9 +259,8 @@ def dirichlet_modes(cs: CrossSection, m: int = 1, tol: float = 1e-9,
     interior = chi[0][cs.mask]
     if interior.min() < -1e-8 * interior.max():
         raise CrossSectionError("ground mode changes sign in the interior")
-    if origin is None:
-        origin = cs.centroid()
-    return TransverseModes(cs=cs, energies=vals, chi=chi, origin=origin)
+    return TransverseModes(cs=cs, energies=vals, chi=chi,
+                           origin=cs.centroid())
 
 
 def chi_quartic(modes: TransverseModes) -> float:
@@ -294,7 +294,7 @@ def _apply_L(chi2d: np.ndarray, cs: CrossSection, origin) -> np.ndarray:
     return out
 
 def angular_momentum_norm(modes: TransverseModes) -> float:
-    """||L chi_0||^2 about the configured origin (default: mask centroid)."""
+    """||L chi_0||^2 about ``modes.origin``, the mask centroid."""
     cs = modes.cs
     L0 = _apply_L(modes.chi[0], cs, modes.origin)
     return float(cs.h**2 * np.sum(L0**2))

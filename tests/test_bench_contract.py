@@ -1,9 +1,11 @@
 """The benchmark's tracer reads the package's function names and argument
 names; a rename must fail here, not only in a traced benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,24 @@ def test_hooked_functions_exist():
         layer, func = name.split(".")
         module = importlib.import_module(f"bectube.{layer}")
         assert inspect.isfunction(getattr(module, func, None)), name
+
+
+def _arguments_read(hook):
+    """Names n of every ``args["n"]`` the hook reads."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(hook)))
+    return {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"
+            and isinstance(node.slice, ast.Constant)}
+
+
+def test_hooks_read_only_real_parameters():
+    for name, hook in _tracer().HOOKS.items():
+        layer, func = name.split(".")
+        module = importlib.import_module(f"bectube.{layer}")
+        params = inspect.signature(getattr(module, func)).parameters
+        missing = _arguments_read(hook) - set(params)
+        assert not missing, f"{name} has no parameter {sorted(missing)}"
 
 
 def test_lanczos_hook_reads_bound_arguments():

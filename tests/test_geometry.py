@@ -1,5 +1,7 @@
 """Tests for curves, parallel frames, and the geometric potentials."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -73,6 +75,13 @@ class TestBishopFrame:
         assert np.max(fr.kappa) == 0.0
         assert fr.orthonormality_defect() < 1e-14
 
+    def test_non_unit_tangent_refused(self):
+        # marked arc-length but of speed 2: the frame is built against a
+        # tangent of length 2 and cannot be orthonormal
+        curve = replace(geo.circle(2.0), arclength=True)
+        with pytest.raises(geo.GeometryError, match="orthonormality defect"):
+            geo.bishop_frame(curve, n_nodes=64)
+
     def test_frame_continuity(self):
         # parallel transport: no jumps in the normal fields
         fr = frame_for(geo.helix(1.0, 1.0))
@@ -116,6 +125,22 @@ class TestPotentials:
         v = geo.bending_potential(r, 0.0, fr, geo.no_twist())
         assert np.isclose(v, -0.5**2 / 4.0, atol=1e-8)  # kappa = 1/2
 
+    def test_curvature_derivatives_computed_once(self, monkeypatch):
+        calls = []
+        fd = geo._fd_derivative
+
+        def counting(*args):
+            calls.append(args[2])
+            return fd(*args)
+
+        monkeypatch.setattr(geo, "_fd_derivative", counting)
+        fr = frame_for(geo.circle(2.0), n=256)
+        for y in (0.1, 0.2, 0.3):
+            geo.bending_potential(np.array([fr.x[100], y, -y]), 0.1, fr,
+                                  geo.no_twist())
+        # one call per curvature component and derivative order
+        assert sorted(calls) == [1, 1, 2, 2]
+
 
 class TestMetricFactors:
     def test_rho_formula(self):
@@ -155,6 +180,30 @@ class TestMetricFactors:
         rho, _ = geo.metric_factors(r, eps, fr, geo.no_twist())
         det = geo.embed_jacobian_det(r, eps, fr, geo.no_twist())
         assert np.isclose(abs(det), eps**2 * rho, rtol=1e-4)
+
+    def test_embed_maps_point_arrays(self):
+        fr = frame_for(geo.helix(1.0, 1.0), n=256)
+        twist = geo.linear_twist(0.5)
+        rng = np.random.default_rng(0)
+        r = rng.uniform(-0.5, 0.5, (4, 5, 3))
+        r[..., 0] += fr.x[128]
+        f = geo.embed(r, 0.1, fr, twist)
+        assert f.shape == (4, 5, 3)
+        for idx in np.ndindex(4, 5):
+            x, y = r[idx][0], r[idx][1:]
+            ty = 0.1 * twist.rotation(x) @ y
+            e1, e2 = fr.frame_at(x)
+            expected = fr.curve.c(x) + ty[0] * e1 + ty[1] * e2
+            assert np.allclose(f[idx], expected, rtol=0, atol=1e-14)
+
+    def test_embed_refuses_nonpositive_rho(self):
+        fr = frame_for(geo.circle(0.5))  # kappa = 2
+        x = fr.x[len(fr.x) // 2]
+        kv = fr.kappa_vec_at(x)
+        y = 2.0 * kv / (kv @ kv)  # y . kappa = 2, so rho < 0 at eps = 1
+        r = np.array([[x, 0.0, 0.0], [x, y[0], y[1]]])
+        with pytest.raises(geo.GeometryError, match="rho"):
+            geo.embed(r, 1.0, fr, geo.no_twist())
 
 
 class TestOverlapMargin:
