@@ -386,13 +386,15 @@ def hat_dynamics_check(h: Callable, f: WeightFn, N: int, d: int,
         return hat_operator(f, pk_projectors(condensate_ref(v), N))
 
     defect = 0.0
+    fh_prev, fh = fhat_at(frames[0]), fhat_at(frames[1])
     for i in range(1, n_steps):
         ti = i * dt
-        deriv = (fhat_at(frames[i + 1]) - fhat_at(frames[i - 1])) / (2 * dt)
+        fh_next = fhat_at(frames[i + 1])
+        deriv = (fh_next - fh_prev) / (2 * dt)
         H = sum(_one_site(h(ti), j, N, d) for j in range(N))
-        fh = fhat_at(frames[i])
         comm = -1j * (H @ fh - fh @ H)
         defect = max(defect, float(np.abs(deriv - comm).max()))
+        fh_prev, fh = fh, fh_next
     return defect
 
 

@@ -134,6 +134,25 @@ class TestAlgebraSuites:
                                    phi0, T=0.1, dt=2e-3)
         assert 2.5 < d1 / d2 < 6.0
 
+    def test_hat_dynamics_builds_each_frame_once(self, monkeypatch):
+        # 50 steps of dt = 2e-3: one set of projectors for each of 51 frames
+        calls = []
+        build = cd.pk_projectors
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cd, "pk_projectors", counting)
+        rng = np.random.default_rng(5)
+        h0 = rng.standard_normal((3, 3))
+        h0 = 0.5 * (h0 + h0.T)
+        phi0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        cd.hat_dynamics_check(lambda t: h0 * (1 + 0.5 * t),
+                              cd.weight_n(2, power=2.0), 2, 3, phi0,
+                              T=0.1, dt=2e-3)
+        assert len(calls) == 51
+
     def test_hat_dynamics_honours_dt(self):
         # T / dt = 100.5: the steps are T / 101, not T / 100 > dt
         h0 = np.diag([1.0, 2.0, 3.0])

@@ -14,6 +14,45 @@ def frame_for(curve, n=1024):
     return geo.bishop_frame(geo.reparameterize_arclength(curve), n_nodes=n)
 
 
+def bishop_frame_oracle(curve, n_nodes):
+    """Reference parallel frame: RK4 on e1 and e2 separately, one vector at
+    a time, then Gram-Schmidt against the exact tangent after every step.
+    Returns (tau, e1, e2)."""
+    x = np.linspace(curve.x_min, curve.x_max, n_nodes)
+    h = x[1] - x[0]
+    tau = curve.dc(x)
+    ddc = curve.ddc(x)
+    ddc_half = curve.ddc(0.5 * (x[:-1] + x[1:]))
+    dc_half = curve.dc(0.5 * (x[:-1] + x[1:]))
+    e1 = np.empty_like(tau)
+    e2 = np.empty_like(tau)
+    t0 = tau[0]
+    trial = np.array([0.0, 1.0, 0.0])
+    if abs(np.dot(trial, t0)) > 0.9:
+        trial = np.array([0.0, 0.0, 1.0])
+    v = trial - np.dot(trial, t0) * t0
+    e1[0] = v / np.linalg.norm(v)
+    e2[0] = np.cross(t0, e1[0])
+
+    def rhs(cpp, cp, e):
+        return -np.dot(cpp, e) * cp
+
+    for i in range(n_nodes - 1):
+        for e in (e1, e2):
+            k1 = rhs(ddc[i], tau[i], e[i])
+            k2 = rhs(ddc_half[i], dc_half[i], e[i] + 0.5 * h * k1)
+            k3 = rhs(ddc_half[i], dc_half[i], e[i] + 0.5 * h * k2)
+            k4 = rhs(ddc[i + 1], tau[i + 1], e[i] + h * k3)
+            e[i + 1] = e[i] + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t = tau[i + 1]
+        u1 = e1[i + 1] - np.dot(e1[i + 1], t) * t
+        u1 /= np.linalg.norm(u1)
+        u2 = e2[i + 1] - np.dot(e2[i + 1], t) * t - np.dot(e2[i + 1], u1) * u1
+        u2 /= np.linalg.norm(u2)
+        e1[i + 1], e2[i + 1] = u1, u2
+    return tau, e1, e2
+
+
 class TestCurves:
     def test_line_is_arclength(self):
         c = geo.line()
@@ -69,6 +108,20 @@ class TestBishopFrame:
         for curve in (geo.circle(1.0), geo.helix(1.0, 0.5), geo.bump_line()):
             fr = frame_for(curve)
             assert fr.orthonormality_defect() < 1e-8
+
+    @pytest.mark.parametrize("curve", [geo.helix(1.0, 1.0), geo.circle(2.0),
+                                       geo.bump_line()],
+                             ids=["helix", "circle", "bump_line"])
+    def test_matches_two_vector_oracle(self, curve):
+        # one propagator matrix per step for e1, and e2 = tau x e1, against
+        # RK4 on both normals with Gram-Schmidt after every step
+        curve = geo.reparameterize_arclength(curve)
+        fr = geo.bishop_frame(curve, n_nodes=1024)
+        tau, e1, e2 = bishop_frame_oracle(curve, 1024)
+        assert np.array_equal(fr.tau, tau)
+        assert np.max(np.abs(fr.e1 - e1)) < 1e-13
+        assert np.max(np.abs(fr.e2 - e2)) < 1e-13
+        assert np.array_equal(fr.e2, np.cross(fr.tau, fr.e1))
 
     def test_line_frame_trivial(self):
         fr = geo.bishop_frame(geo.line())

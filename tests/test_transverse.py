@@ -7,10 +7,14 @@ Frozen oracles (computed once with scipy.integrate.dblquad / special):
   - rectangle (0,pi)^2 quartic integral: 9 / (4 pi^2)
 """
 
+import json
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import eigs
 from scipy.special import jn_zeros
 
+from bectube import cli
 from bectube import transverse as tv
 
 SQUARE_LCHI2 = 0.14493406684822652
@@ -83,6 +87,38 @@ class TestEllipse:
         assert e0_long < e0_round
 
 
+def plain_eigs_modes(cs, m):
+    """Energies and unit interior vectors of the m lowest modes from
+    ``eigs`` with the LU it builds itself (default column ordering)."""
+    A = tv._laplacian(cs)
+    vals, vecs = eigs(A, k=m + 1, sigma=float(cs.vperp.min()) - 1.0,
+                      which="LM", v0=np.ones(A.shape[0]), tol=1e-9)
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs = (vecs * (np.abs(lead) / lead)).real
+    order = np.argsort(vals.real)[:m]
+    vecs = vecs[:, order]
+    return vals.real[order], vecs / np.linalg.norm(vecs, axis=0)
+
+
+class TestBoundaryFittedSolve:
+    # the fill-reducing LU against eigs with its default factorization; the
+    # disk's second and third modes are degenerate, so only chi_0 is
+    # compared there
+    @pytest.mark.parametrize("cs, m, n_compared", [
+        (tv.disk(1.0, n=96), 2, 1),
+        (tv.ellipse(1.5, 1.0, n=64), 3, 3),
+    ], ids=["disk", "ellipse"])
+    def test_matches_default_factorization(self, cs, m, n_compared):
+        modes = tv.dirichlet_modes(cs, m=m)
+        vals, vecs = plain_eigs_modes(cs, m)
+        assert np.max(np.abs(modes.energies - vals) / vals) < 1e-10
+        for j in range(n_compared):
+            v = modes.chi[j][cs.mask]
+            v = v / np.linalg.norm(v)
+            ref = vecs[:, j] * np.sign(v @ vecs[:, j])
+            assert np.max(np.abs(v - ref)) < 1e-8
+
+
 class TestAngularMomentumNorm:
     def test_square_oracle_by_extrapolation(self):
         # the node-only quadrature misses the boundary strip where
@@ -96,6 +132,32 @@ class TestAngularMomentumNorm:
         # raw values approach the oracle from below
         assert vals[0] < vals[1] < SQUARE_LCHI2
         assert abs(vals[1] - SQUARE_LCHI2) / SQUARE_LCHI2 < 0.05
+
+    def test_boundary_measured_once_per_solve(self, tmp_path, monkeypatch):
+        # `coeffs` reads lchi2 twice (summary and geometric potential) and
+        # solves once: one boundary measurement and one L application
+        calls = {"frac": 0, "L": 0, "solve": 0}
+        frac, apply_L, solve = (tv._boundary_fractions, tv._apply_L,
+                                tv.dirichlet_modes)
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(tv, "_boundary_fractions", counting("frac", frac))
+        monkeypatch.setattr(tv, "_apply_L", counting("L", apply_L))
+        monkeypatch.setattr(tv, "dirichlet_modes", counting("solve", solve))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({
+            "geometry": {"curve": "helix", "radius": 1.0, "pitch": 1.0,
+                         "twist_rate": 0.5, "n_nodes": 256},
+            "cross_section": {"shape": "disk", "radius": 1.0, "n": 31,
+                              "m": 2}}))
+        assert cli.main(["coeffs", "--config", str(p),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"frac": 1, "L": 1, "solve": 1}
 
     def test_rectangle_center_origin_default(self):
         m = tv.dirichlet_modes(tv.rectangle(2.0, 1.0, n=63), m=1)
