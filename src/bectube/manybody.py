@@ -314,11 +314,12 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
 
 
 def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a, b> of two contiguous complex vectors, as one real dot product
-    of their float views.  einsum, not BLAS: above 10000 entries OpenBLAS
-    threads zdotc and ddot, and the second thread they wake then spins
-    through the sparse matvec that follows."""
-    return float(np.einsum("i,i", a.view(float), b.view(float)))
+    """Re <a, b> of two contiguous complex vectors, as one real sum over
+    the product of their float views.  Not BLAS: above 10000 entries
+    OpenBLAS threads zdotc and ddot, and the second thread they wake then
+    spins through the sparse matvec that follows.  ``np.add.reduce`` sums
+    pairwise, so the round-off grows like log n, not like einsum's n."""
+    return float(np.add.reduce(a.view(float) * b.view(float)))
 
 
 def lanczos_expm_apply(H, v: np.ndarray, dt: float,

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigs, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigs, splu
 
 
 class CrossSectionError(ValueError):
@@ -43,10 +43,6 @@ class CrossSection:
     @property
     def h(self) -> float:
         return float(self.y1[1] - self.y1[0])
-
-    @property
-    def area(self) -> float:
-        return float(self.mask.sum()) * self.h**2
 
     def centroid(self):
         Y1, Y2 = np.meshgrid(self.y1, self.y2, indexing="ij")
@@ -221,51 +217,91 @@ def _laplacian(cs: CrossSection) -> sp.csr_matrix:
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))))
 
 
+def _product_modes(cs: CrossSection, k: int):
+    """The k lowest eigenpairs, in ascending order, of the 5-point operator
+    on a full rectangle with constant Vperp, in closed form.
+
+    The operator is the Kronecker sum of two 1D second differences, so its
+    eigenpairs are
+    E_(p,q) = (4/h^2) [sin^2(p pi / (2(n1+1))) + sin^2(q pi / (2(n2+1)))]
+    + Vperp, with product sine modes (LeVeque 2007, Finite Difference Methods
+    for ODEs and PDEs, Sec. 3.4).  A mode with p > k has the k modes
+    (1, q), ..., (k, q) below it, so the k x k candidates (clamped to the
+    grid) hold the k lowest.  The sort is stable: an exact tie, such as
+    E_(1,2) = E_(2,1) on a square, goes to the lexicographically first pair.
+    """
+    n1, n2 = cs.mask.shape
+    h = cs.h
+    p = np.arange(1, min(k, n1) + 1)
+    q = np.arange(1, min(k, n2) + 1)
+    e1 = 4.0 / h**2 * np.sin(p * np.pi / (2 * (n1 + 1))) ** 2
+    e2 = 4.0 / h**2 * np.sin(q * np.pi / (2 * (n2 + 1))) ** 2
+    energies = (e1[:, None] + e2[None, :]).ravel() + cs.vperp[0, 0]
+    order = np.argsort(energies, kind="stable")[:k]
+    s1 = np.sin(np.outer(p, np.arange(1, n1 + 1)) * np.pi / (n1 + 1))
+    s2 = np.sin(np.outer(q, np.arange(1, n2 + 1)) * np.pi / (n2 + 1))
+    i1, i2 = np.unravel_index(order, (len(p), len(q)))
+    vecs = np.stack([np.outer(s1[a], s2[b]).ravel() for a, b in zip(i1, i2)],
+                    axis=1)
+    return energies[order], vecs
+
+
+def _shift_invert_modes(cs: CrossSection, k: int):
+    """The k lowest eigenpairs, in ascending order, by shift-invert ARPACK
+    (tolerance 1e-9) at sigma = min Vperp - 1, from a fixed start vector.
+
+    In every row of the 5-point or Shortley-Weller stencil the off-diagonal
+    magnitudes sum to at most the Laplacian part of the diagonal, so each
+    row of A - sigma I is strictly diagonally dominant, by
+    Vperp - min Vperp + 1 >= 1.  The LU therefore needs no pivoting and
+    keeps the minimum-degree ordering of the symmetric pattern, about half
+    the fill of the default column ordering.  ``eigs`` serves the symmetric
+    stencil of a mask and the mildly nonsymmetric, real-spectrum one of a
+    curved shape alike.
+    """
+    A = _laplacian(cs)
+    sigma = float(cs.vperp.min()) - 1.0
+    lu = splu((A - sigma * sp.eye(A.shape[0])).tocsc(),
+              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    op = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
+    vals, vecs = eigs(A, k=k, sigma=sigma, which="LM", v0=np.ones(A.shape[0]),
+                      tol=1e-9, OPinv=op)
+    if np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals.real)):
+        raise CrossSectionError("eigensolver returned complex eigenvalues")
+    # strip the arbitrary complex phase of each eigenvector
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs = (vecs * (np.abs(lead) / lead)).real
+    order = np.argsort(vals.real)
+    return vals.real[order], vecs[:, order]
+
+
 def dirichlet_modes(cs: CrossSection, m: int = 1) -> TransverseModes:
     """Compute the m lowest eigenpairs.
 
-    Shift-invert ARPACK (tolerance 1e-9) at sigma = min Vperp - 1 with a
-    deterministic start vector.  A cross-section with a levelset has a
-    boundary-fitted, mildly nonsymmetric matrix and goes to ``eigs``, whose
-    shift-invert solves use one LU of A - sigma I with the minimum-degree
-    ordering of the symmetric pattern and no pivoting (the rows are
-    strictly diagonally dominant); that LU has about half the fill of the
-    default column ordering.  Rectangles and masks have a symmetric matrix
-    and go to ``eigsh`` with ARPACK's own factorization: their higher modes
-    can be degenerate, and another factorization would pick another vector
-    of a degenerate eigenspace.  The ground state must be simple and
+    A full rectangle with constant Vperp (no levelset, every node inside)
+    has a separable operator, and its modes are the sampled product sines
+    of ``_product_modes``; no matrix is built.  Every other cross-section
+    (masks, a varying Vperp, curved shapes) goes to shift-invert ``eigs``
+    (tolerance 1e-9) on one fill-reducing LU (``_shift_invert_modes``).
+    On a square, chi_1 is the (1, 2) product mode, even in y1 and odd in
+    y2; its partner (2, 1) is equally low, so m = 2 still cuts the basis
+    inside a degenerate pair.  The ground state must be simple and
     nodeless; both are checked.  The angular momentum is taken about the
     centroid of the mask.
     """
-    tol = 1e-9
     if m < 1:
         raise CrossSectionError("m must be >= 1")
     if cs.mask.sum() <= 100:
         raise CrossSectionError("grid too coarse: need > 100 interior nodes")
-    A = _laplacian(cs)
-    sigma = float(cs.vperp.min()) - 1.0
-    v0 = np.ones(A.shape[0])
-    if cs.levelset is None:
-        vals, vecs = eigsh(A, k=m + 1, sigma=sigma, which="LM", v0=v0, tol=tol)
+    if m + 3 > cs.mask.sum():
+        # m + 1 pairs are solved for; shift-invert eigs needs m + 1 < N - 1
+        raise CrossSectionError("m must be <= interior node count - 3")
+    if cs.levelset is None and cs.mask.all() and np.all(
+            cs.vperp == cs.vperp[0, 0]):
+        vals, vecs = _product_modes(cs, m + 1)
     else:
-        # boundary-fitted stencil: mildly nonsymmetric, real spectrum, with a
-        # symmetric pattern.  Each row of A - sigma I is strictly diagonally
-        # dominant, by Vperp - min Vperp + 1 >= 1, so LU needs no pivoting and
-        # can keep the fill-reducing ordering of the symmetric pattern.
-        lu = splu((A - sigma * sp.eye(A.shape[0])).tocsc(),
-                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
-        op = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-        vals, vecs = eigs(A, k=m + 1, sigma=sigma, which="LM", v0=v0, tol=tol,
-                          OPinv=op)
-        if np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals.real)):
-            raise CrossSectionError("eigensolver returned complex eigenvalues")
-        vals = vals.real
-        # strip the arbitrary complex phase of each eigenvector
-        lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-        vecs = (vecs * (np.abs(lead) / lead)).real
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _shift_invert_modes(cs, m + 1)
     scale = max(1.0, abs(vals[0]))
     if vals[1] - vals[0] < 1e-8 * scale:
         raise CrossSectionError(

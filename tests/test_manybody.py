@@ -297,9 +297,11 @@ class TestHamiltonian:
         assert abs(H - H.getH()).max() < 1e-12
 
     def test_default_config_nnz(self):
-        # the default `manybody` system; symmetry-forbidden kernel entries
-        # sit near the 1e-16 assembly cut-off, so any change to the pair
-        # kernel's arithmetic can move this count
+        # the default `manybody` system.  chi_0 and chi_1 are the (1, 1) and
+        # (1, 2) product modes of the square, so a K entry with an odd number
+        # of mode-1 indices is odd under y2 -> pi - y2 and vanishes; with
+        # exact product modes those entries are round-off far below the
+        # 1e-16 assembly cut-off, and the count does not hinge on them
         cfg = cli.load_config(None)
         G_x, dx = cfg["solver"]["G_x"], cfg["solver"]["dx"]
         N, eps, beta = (cfg["scaling"][k] for k in ("N", "eps", "beta"))
@@ -311,7 +313,15 @@ class TestHamiltonian:
         H = mb.build_hamiltonian(mb.build_basis(spb.d, N),
                                  mb.one_body_matrix(spb), offsets, K,
                                  G_x=G_x, m=spb.m)
-        assert H.shape == (3876, 3876) and H.nnz == 36260
+        assert H.shape == (3876, 3876) and H.nnz == 32164
+        odd = np.indices(K.shape[1:]).sum(axis=0) % 2 == 1
+        assert np.max(np.abs(K[:, odd])) <= 1e-17
+        K_even = K.copy()
+        K_even[:, odd] = 0.0
+        H_even = mb.build_hamiltonian(mb.build_basis(spb.d, N),
+                                      mb.one_body_matrix(spb), offsets,
+                                      K_even, G_x=G_x, m=spb.m)
+        assert (H_even != H).nnz == 0
 
     def test_condensate_energy_identity(self, small_system):
         # <phi^N, H phi^N>/N equals the mean-field energy functional exactly

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import eigs
+from scipy.sparse.linalg import eigs, eigsh
 from scipy.special import jn_zeros
 
 from bectube import cli
@@ -119,6 +119,53 @@ class TestBoundaryFittedSolve:
             assert np.max(np.abs(v - ref)) < 1e-8
 
 
+class TestProductModes:
+    # full rectangles with constant Vperp take the closed form; the oracle is
+    # eigsh on the assembled 5-point matrix.  The square's (1, 2)/(2, 1)
+    # pair is compared as a subspace: each closed-form mode must lie in the
+    # oracle's eigenspace of the same energy
+    @pytest.mark.parametrize("cs, m", [
+        (tv.rectangle(2.0, 1.0, n=63), 3),
+        (tv.rectangle(4.0, 1.0, n=63), 4),
+        (tv.rectangle(1.0, 1.0, n=48, vperp=3.0), 3),
+    ], ids=["2x1", "4x1", "square_vperp"])
+    def test_matches_iterative_oracle(self, cs, m):
+        modes = tv.dirichlet_modes(cs, m=m)
+        A = tv._laplacian(cs)
+        vals, vecs = eigsh(A, k=m + 1, sigma=float(cs.vperp.min()) - 1.0,
+                           which="LM", v0=np.ones(A.shape[0]), tol=1e-12)
+        order = np.argsort(vals)
+        vals, vecs = vals[order], vecs[:, order]
+        assert np.max(np.abs(modes.energies - vals[:m]) / vals[:m]) < 1e-10
+        for j, E in enumerate(modes.energies):
+            v = modes.chi[j][cs.mask]
+            v = v / np.linalg.norm(v)
+            space = vecs[:, np.abs(vals - E) < 1e-8 * E]
+            assert np.linalg.norm(space.T @ v) >= 1 - 1e-10
+        assert tv.rayleigh_residual(modes) < 1e-10
+
+    def test_square_second_mode_is_1_2(self, rect_pi):
+        # even under y1 -> pi - y1, odd under y2 -> pi - y2
+        chi1 = rect_pi.chi[1]
+        scale = np.max(np.abs(chi1))
+        assert np.max(np.abs(chi1 - chi1[::-1, :])) < 1e-13 * scale
+        assert np.max(np.abs(chi1 + chi1[:, ::-1])) < 1e-13 * scale
+
+    def test_no_factorization(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu called for a full rectangle")
+
+        monkeypatch.setattr(tv, "splu", refuse)
+        cs = tv.rectangle(np.pi, 2.0, n=63)
+        assert tv.dirichlet_modes(cs, m=3).chi.shape == (3,) + cs.mask.shape
+        # the patch is live: a mask with a hole factorizes
+        y = np.linspace(0.02, 0.98, 49)
+        mask = np.ones((49, 49), dtype=bool)
+        mask[20:29, 20:29] = False
+        with pytest.raises(AssertionError, match="splu"):
+            tv.dirichlet_modes(tv.masked(y, y, mask), m=1)
+
+
 class TestAngularMomentumNorm:
     def test_square_oracle_by_extrapolation(self):
         # the node-only quadrature misses the boundary strip where
@@ -185,6 +232,9 @@ class TestSolverInterface:
     def test_m_validation(self):
         with pytest.raises(tv.CrossSectionError):
             tv.dirichlet_modes(tv.rectangle(1.0, 1.0, n=32), m=0)
+        # 121 interior nodes: at most m = 118, on every cross-section
+        with pytest.raises(tv.CrossSectionError, match="node count"):
+            tv.dirichlet_modes(tv.rectangle(1.0, 1.0, n=11), m=120)
 
     def test_gap_needs_two_modes(self):
         m = tv.dirichlet_modes(tv.rectangle(1.0, 1.0, n=32), m=1)
