@@ -15,11 +15,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import functools
 import hashlib
 import json
 import os
 import sys
 import time
+import types
 from pathlib import Path
 
 import numpy as np
@@ -372,7 +374,6 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     rows = []
     for k, (tpsi, psi) in enumerate(frames):
         t_phi, phi_t = hart[k * stride]
-        phi_t = phi_t / np.linalg.norm(phi_t)
         ref = condensation.condensate_ref(phi_t)
         pk = condensation.sector_weights(basis, ref, psi)
         a_n2 = float(np.dot(condensation.weight_n(N, 2.0).table, pk))
@@ -449,7 +450,9 @@ def cmd_converge(cfg: dict, out: Path) -> dict:
 
 def _verify_registry():
     """(module, name, callable) triples; each callable returns
-    (ok: bool, value: float)."""
+    (ok: bool, value: float).  A system that several checks read is built
+    on the first check that needs it and shared by the rest of this
+    registry's checks."""
     checks = []
 
     def add(module, name):
@@ -458,18 +461,20 @@ def _verify_registry():
             return fn
         return deco
 
+    @functools.cache
+    def arclength_frame(kind):
+        curve = (geometry.circle(2.0) if kind == "circle"
+                 else geometry.helix(1.0, 1.0))
+        return geometry.bishop_frame(geometry.reparameterize_arclength(curve))
+
     @add("geometry", "circle_curvature")
     def _():
-        fr = geometry.bishop_frame(
-            geometry.reparameterize_arclength(geometry.circle(2.0)))
-        d = float(np.max(np.abs(fr.kappa - 0.5)))
+        d = float(np.max(np.abs(arclength_frame("circle").kappa - 0.5)))
         return d < 1e-8, d
 
     @add("geometry", "helix_curvature")
     def _():
-        fr = geometry.bishop_frame(
-            geometry.reparameterize_arclength(geometry.helix(1.0, 1.0)))
-        d = float(np.max(np.abs(fr.kappa - 0.5)))
+        d = float(np.max(np.abs(arclength_frame("helix").kappa - 0.5)))
         return d < 1e-6, d
 
     @add("geometry", "frame_orthonormality")
@@ -479,6 +484,12 @@ def _verify_registry():
         d = float(fr.orthonormality_defect())
         return d < 1e-8, d
 
+    @add("geometry", "circle_helix_orthonormality")
+    def _():
+        d = float(max(arclength_frame("circle").orthonormality_defect(),
+                      arclength_frame("helix").orthonormality_defect()))
+        return d < 1e-8, d
+
     @add("geometry", "straight_guide_flat_potential")
     def _():
         fr = geometry.bishop_frame(geometry.line())
@@ -486,18 +497,19 @@ def _verify_registry():
         d = float(np.max(np.abs(v)))
         return d == 0.0, d
 
+    @functools.cache
+    def square_modes():
+        return transverse.dirichlet_modes(
+            transverse.rectangle(np.pi, np.pi, n=127), m=1)
+
     @add("transverse", "rectangle_ground_energy")
     def _():
-        modes = transverse.dirichlet_modes(
-            transverse.rectangle(np.pi, np.pi, n=127), m=1)
-        d = abs(modes.e0 - 2.0) / 2.0
+        d = abs(square_modes().e0 - 2.0) / 2.0
         return d < 5e-3, d
 
     @add("transverse", "rectangle_quartic_integral")
     def _():
-        modes = transverse.dirichlet_modes(
-            transverse.rectangle(np.pi, np.pi, n=127), m=1)
-        d = abs(modes.q4 - 9.0 / (4 * np.pi**2))
+        d = abs(square_modes().q4 - 9.0 / (4 * np.pi**2))
         return d < 1e-3, d
 
     @add("transverse", "disk_ground_energy")
@@ -522,18 +534,31 @@ def _verify_registry():
             [scaling.scaling_params(k, 1.0 / k, 0.25) for k in n])
         const = scaling.classify_sequence(
             [scaling.ScalingPoint(int(k), 0.5 - 1e-9 * k, 0.25) for k in n])
-        ok = (mod.admissible and mod.moderate and strong.admissible
-              and strong.strong and not const.admissible)
+        ok = (mod.admissible and mod.moderate and not mod.strong
+              and strong.admissible and strong.strong and not strong.moderate
+              and not const.admissible and const.neither)
         return ok, float(ok)
 
     @add("scaling", "rectangle_coupling_value")
     def _():
-        modes = transverse.dirichlet_modes(
-            transverse.rectangle(np.pi, np.pi, n=127), m=1)
         w = scaling.bump_potential().scaled(1.0 / scaling.bump_potential().mass)
-        b = scaling.b_coefficient(modes, w, "moderate")
+        b = scaling.b_coefficient(square_modes(), w, "moderate")
         d = abs(b - 9.0 / (4 * np.pi**2))
         return d < 1e-3, d
+
+    @add("scaling", "taylor_remainder")
+    def _():
+        # the sampled remainder sup rbar is O(eps + mu) on a curved guide
+        frame = geometry.bishop_frame(
+            geometry.reparameterize_arclength(geometry.circle(2.0)),
+            n_nodes=512)
+        w = scaling.bump_potential()
+        ratios = [scaling.taylor_decompose(
+                      w, types.SimpleNamespace(eps=eps, mu=mu), frame,
+                      geometry.no_twist(), n_samples=20_000).rbar / (eps + mu)
+                  for eps in (0.05, 0.1) for mu in (0.05, 0.1)]
+        d = max(ratios) / min(ratios)
+        return d < 3.0, d
 
     @add("nls", "plane_wave_phase")
     def _():
@@ -565,15 +590,26 @@ def _verify_registry():
         d = max(abs(v - e[0]) for v in e) / max(1.0, abs(e[0]))
         return d < 1e-8, d
 
-    @add("nls", "energy_derivative_identity")
-    def _():
+    def energy_drift(T, dt):
         pot = nls.Potential1D(
             v=lambda t, x: np.sin(t) * np.exp(-x**2 / 4),
             vdot=lambda t, x: np.cos(t) * np.exp(-x**2 / 4))
-        w0 = nls.gaussian(8.0, 256)
-        traj = nls.evolve(w0, pot, 1.0, dt=1e-3, T=0.5, store_every=1)
-        d = nls.energy_drift_check(traj, pot, 1.0)
+        traj = nls.evolve(nls.gaussian(8.0, 256), pot, 1.0, dt=dt, T=T,
+                          store_every=1)
+        return nls.energy_drift_check(traj, pot, 1.0)
+
+    @add("nls", "energy_derivative_identity")
+    def _():
+        d = energy_drift(0.5, 1e-3)
         return d < 1e-5, d
+
+    @add("nls", "energy_derivative_second_order")
+    def _():
+        # the centered difference of E is O(dt^2): halving dt divides the
+        # defect by about 4
+        coarse = energy_drift(0.25, 1e-3)
+        d = coarse / energy_drift(0.25, 5e-4)
+        return coarse < 1e-5 and 2.5 < d < 6.0, d
 
     @add("nls", "sobolev_chain")
     def _():
@@ -591,7 +627,10 @@ def _verify_registry():
         d = float(np.max(np.abs(np.abs(a.values) - np.abs(b.values))))
         return d < 1e-6, d
 
-    def _small_system():
+    @functools.cache
+    def small_system():
+        """N = 3 on 6 x 2 modes, evolved to T = 0.2 in steps of 0.01 with a
+        frame every 5 steps."""
         modes = transverse.dirichlet_modes(
             transverse.rectangle(np.pi, np.pi, n=63), m=2)
         spt = scaling.scaling_params(3, 0.25, 0.25)
@@ -604,21 +643,21 @@ def _verify_registry():
         H = manybody.build_hamiltonian(basis, h, offsets, K, G_x=6, m=2)
         evals, evecs = np.linalg.eigh(h)
         psi0 = manybody.condensate_state(basis, evecs[:, 0].astype(complex))
-        return basis, H, psi0, spb
+        frames = manybody.evolve_state(basis, H, psi0, T=0.2, dt=0.01,
+                                       store_every=5)
+        return basis, H, psi0, frames
 
     @add("manybody", "hermiticity_and_unitarity")
     def _():
-        basis, H, psi0, spb = _small_system()
+        basis, H, psi0, frames = small_system()
         herm = abs(H - H.getH()).max()
-        frames = manybody.evolve_state(basis, H, psi0, T=0.2, dt=0.01)
         drift = max(abs(np.linalg.norm(p) - 1.0) for _, p in frames)
         d = float(max(herm, drift))
         return d < 1e-9, d
 
     @add("manybody", "krylov_vs_dense")
     def _():
-        basis, H, psi0, spb = _small_system()
-        frames = manybody.evolve_state(basis, H, psi0, T=0.2, dt=0.01)
+        basis, H, psi0, frames = small_system()
         dense = manybody.evolve_state_dense(H, psi0, [0.2])
         ref = dense[0][1] / np.linalg.norm(dense[0][1])
         d = float(np.linalg.norm(frames[-1][1] - ref))
@@ -626,17 +665,14 @@ def _verify_registry():
 
     @add("manybody", "static_energy_conservation")
     def _():
-        basis, H, psi0, spb = _small_system()
-        frames = manybody.evolve_state(basis, H, psi0, T=0.2, dt=0.01,
-                                       store_every=5)
+        basis, H, psi0, frames = small_system()
         e = [manybody.energy_per_particle(basis, p, H) for _, p in frames]
         d = max(abs(v - e[0]) for v in e)
         return d < 1e-8, d
 
     @add("manybody", "gamma1_positive_unit_trace")
     def _():
-        basis, H, psi0, spb = _small_system()
-        frames = manybody.evolve_state(basis, H, psi0, T=0.2, dt=0.01)
+        basis, H, psi0, frames = small_system()
         g1 = manybody.reduced_density(basis, frames[-1][1], M=1)
         ev = np.linalg.eigvalsh(g1)
         d = float(max(-ev.min(), abs(np.trace(g1).real - 1.0)))
@@ -659,6 +695,28 @@ def _verify_registry():
         slack = led.pop("qq_inequality_slack")
         d = max(led.values())
         return d < 1e-10 and slack >= 0, float(d)
+
+    @add("condensation", "operator_algebra_seeds")
+    def _():
+        d, slack = 0.0, np.inf
+        for seed in range(20):
+            N, d0 = ((3, 4), (2, 6), (3, 5))[seed % 3]
+            led = condensation.weight_algebra_suite(N=N, d=d0, seed=seed)
+            slack = min(slack, led.pop("qq_inequality_slack"))
+            d = max(d, max(led.values()))
+        return d < 1e-10 and slack >= -1e-12, float(d)
+
+    @add("condensation", "weight_m_sandwich")
+    def _():
+        # n <= m <= max(n, N^-xi) with n = sqrt(k/N), to 1e-14
+        d = 0.0
+        for N in (100, 1000, 10_000):
+            for xi in (0.1, 0.2, 0.4):
+                m = condensation.weight_m(N, xi).table
+                n = np.sqrt(np.arange(N + 1) / N)
+                d = max(d, float(np.max(n - m)),
+                        float(np.max(m - np.maximum(n, N**-xi))))
+        return d <= 1e-14, d
 
     @add("condensation", "weight_bounds")
     def _():
@@ -697,16 +755,9 @@ def _verify_registry():
 
 
 def cmd_verify(cfg: dict, out: Path) -> dict:
-    checks = _verify_registry()
-    modules = {m for m, _, _ in checks}
-    expected = {"geometry", "transverse", "scaling", "nls", "manybody",
-                "condensation"}
-    if modules != expected:
-        raise RuntimeError(f"verify registry incomplete: missing "
-                           f"{expected - modules}")
     scalars = {}
     n_fail = 0
-    for module, name, fn in checks:
+    for module, name, fn in _verify_registry():
         ok, value = fn()
         scalars[f"{module}.{name}"] = {"ok": bool(ok), "value": float(value)}
         status = "pass" if ok else "FAIL"

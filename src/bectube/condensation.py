@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .manybody import FockBasis, _steps, lower
+from .manybody import FockBasis, _rk4, _steps, lower
 
 
 class CondensationError(ValueError):
@@ -371,16 +371,7 @@ def hat_dynamics_check(h: Callable, f: WeightFn, N: int, d: int,
 
     n_steps = max(2, _steps(T, dt)[0])
     dt = T / n_steps
-    frames = [phi.copy()]
-    t = 0.0
-    for _ in range(n_steps):
-        k1 = rhs(t, phi)
-        k2 = rhs(t + dt / 2, phi + dt / 2 * k1)
-        k3 = rhs(t + dt / 2, phi + dt / 2 * k2)
-        k4 = rhs(t + dt, phi + dt * k3)
-        phi = phi + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
-        frames.append(phi.copy())
+    frames = [v for _, v in _rk4(rhs, phi, n_steps, dt)]
 
     def fhat_at(v):
         return hat_operator(f, pk_projectors(condensate_ref(v), N))

@@ -109,16 +109,6 @@ def bump_line(amplitude=0.2, width=1.0, x_min=-8.0, x_max=8.0) -> CurveSpec:
     )
 
 
-def sampled_curve(t: np.ndarray, points: np.ndarray) -> CurveSpec:
-    """Curve from sampled points; cubic-spline interpolated before differentiation."""
-    t = np.asarray(t, dtype=float)
-    points = np.asarray(points, dtype=float)
-    sp = CubicSpline(t, points, axis=0)
-    d1 = sp.derivative(1)
-    d2 = sp.derivative(2)
-    return CurveSpec("sampled", float(t[0]), float(t[-1]), c=sp, dc=d1, ddc=d2)
-
-
 def reparameterize_arclength(curve: CurveSpec) -> CurveSpec:
     """Return the same curve parametrized by arc length.
 

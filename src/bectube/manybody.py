@@ -518,7 +518,13 @@ def hartree_evolve(h_one, offsets, K, G_x: int, m: int, N: int,
             hv = hv + np.repeat(v_ext(t, x), m) * v
         return -1j * hv
 
-    n_steps, dt = _steps(T, dt)
+    return _rk4(rhs, phi, *_steps(T, dt))
+
+
+def _rk4(rhs: Callable, phi: np.ndarray, n_steps: int, dt: float) -> list:
+    """Classical RK4 for dphi/dt = rhs(t, phi) from t = 0: the frames
+    (t, phi) before the first and after every step, t accumulated by
+    repeated addition of dt."""
     frames = [(0.0, phi.copy())]
     t = 0.0
     for _ in range(n_steps):

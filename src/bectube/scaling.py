@@ -156,35 +156,11 @@ def bump_potential() -> PairPotential:
     )
 
 
-def validate_potential(w: PairPotential) -> None:
-    s = np.linspace(0.0, 2.0, 257)
-    if np.any(w.wt(np.minimum(s, 1.0) * (s < 1.0)) < -1e-14):
-        raise ScalingError("pair potential must be nonnegative")
-    if np.any(np.abs(w.wt(s[s >= 1.0] * 0 + 1.0)) > 1e-14):
-        raise ScalingError("pair potential must vanish outside the unit ball")
-
-
 def _r_eps(r, eps):
     r = np.asarray(r, dtype=float)
     out = r.copy()
     out[..., 1:] *= eps
     return out
-
-
-def scaled_pair(w: PairPotential, sp: ScalingPoint):
-    """Evaluator of the scaled two-body interaction
-    (N-1) (a/mu^3) w((r_eps(r1) - r_eps(r2)) / mu) in the straight untwisted
-    guide, whose embedding is the coordinate scaling r -> (x, eps y).  In a
-    curved guide ``TaylorDecomposition.exact`` evaluates the interaction
-    through the embedding.
-    """
-    pref = (sp.N - 1) * sp.a / sp.mu**3
-
-    def value(r1, r2):
-        d = _r_eps(r1, sp.eps) - _r_eps(r2, sp.eps)
-        return pref * float(w(d / sp.mu))
-
-    return value
 
 
 # ---------------------------------------------------------------------------

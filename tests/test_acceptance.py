@@ -2,25 +2,22 @@
 
 Each criterion is a separate test so a failure pinpoints the broken claim.
 The printed line carries the measured quantities for quick inspection.
+Criteria 1-6 and 11 run checks of ``bectube verify``'s registry, where each
+of those paper checks is written once, and assert their ``ok``; the
+wall-time bounds are timed here, around the registry call.
 """
 
 import json
 import time
-import types
 
 import numpy as np
-import pytest
 from scipy.special import spherical_jn
 
 from bectube import cli
 from bectube import condensation as cd
-from bectube import geometry as geo
 from bectube import manybody as mb
-from bectube import nls
 from bectube import scaling as sc
 from bectube import transverse as tv
-
-DISK_E0 = 5.783185962946785     # first zero of J0, squared
 
 
 def report(num, ok, detail):
@@ -34,128 +31,53 @@ def fit_exponent(x, y):
                             np.log(np.asarray(y, float)), 1)[0])
 
 
-def test_criterion_01_transverse_closed_forms():
+def registry_criterion(num, *names, seconds=None):
+    """Run the named checks of ``bectube verify``'s registry (one registry,
+    so checks of one system share it) and pass when every check is ok and,
+    if ``seconds`` is given, the whole call took less."""
     t0 = time.perf_counter()
-    rect = tv.dirichlet_modes(tv.rectangle(np.pi, np.pi, n=127), m=1)
-    d_e0 = abs(rect.e0 - 2.0) / 2.0
-    d_q4 = abs(rect.q4 - 9.0 / (4 * np.pi**2))
-    disk = tv.dirichlet_modes(tv.disk(1.0, n=128), m=1)
-    d_disk = abs(disk.e0 - DISK_E0) / DISK_E0
+    checks = {f"{m}.{n}": fn for m, n, fn in cli._verify_registry()}
+    results = {name: checks[name]() for name in names}
     elapsed = time.perf_counter() - t0
-    ok = d_e0 < 5e-3 and d_q4 < 1e-3 and d_disk < 1e-2 and elapsed < 30
-    report(1, ok, f"rect E0 rel {d_e0:.2e}, quartic {d_q4:.2e}, "
-                  f"disk E0 rel {d_disk:.2e}, {elapsed:.1f}s")
+    ok = all(passed for passed, _ in results.values())
+    report(num, ok and (seconds is None or elapsed < seconds),
+           ", ".join(f"{name} {value:.2e}{'' if passed else ' FAIL'}"
+                     for name, (passed, value) in results.items())
+           + f", {elapsed:.2f}s")
+
+
+def test_criterion_01_transverse_closed_forms():
+    registry_criterion(1, "transverse.rectangle_ground_energy",
+                       "transverse.rectangle_quartic_integral",
+                       "transverse.disk_ground_energy", seconds=30)
 
 
 def test_criterion_02_geometry_oracles():
-    circ = geo.bishop_frame(geo.reparameterize_arclength(geo.circle(2.0)))
-    d_circ = float(np.max(np.abs(circ.kappa - 0.5)))
-    hel = geo.bishop_frame(geo.reparameterize_arclength(geo.helix(1.0, 1.0)))
-    d_hel = float(np.max(np.abs(hel.kappa - 0.5)))
-    d_orth = max(circ.orthonormality_defect(), hel.orthonormality_defect())
-    line_fr = geo.bishop_frame(geo.line())
-    v = geo.geometric_potential(line_fr, geo.no_twist(), 1.0)
-    flat = bool(np.all(v == 0.0))
-    ok = d_circ < 1e-8 and d_hel < 1e-6 and d_orth < 1e-8 and flat
-    report(2, ok, f"circle {d_circ:.1e}, helix {d_hel:.1e}, "
-                  f"frame {d_orth:.1e}, straight V_geom flat: {flat}")
+    registry_criterion(2, "geometry.circle_curvature",
+                       "geometry.helix_curvature",
+                       "geometry.circle_helix_orthonormality",
+                       "geometry.straight_guide_flat_potential")
 
 
 def test_criterion_03_nls_exactness():
-    X, b = 8.0, 0.5
-    w0 = nls.plane_wave(X, 256, mode=2)
-    traj = nls.evolve(w0, nls.free_potential(), b, dt=1e-3, T=1.0,
-                      store_every=1000)
-    k = 2 * np.pi / X
-    exact = np.exp(1j * (k * traj[-1].x - (k**2 + b / (2 * X)))) / np.sqrt(2 * X)
-    d_phase = float(np.max(np.abs(traj[-1].values - exact)))
-
-    traj = nls.evolve(nls.gaussian(X, 256), nls.free_potential(), 1.0,
-                      dt=1e-3, T=1.0, store_every=200)
-    d_mass = max(abs(w.mass() - 1.0) for w in traj)
-
-    grid = nls.Wave1D(X, np.zeros(256, complex)).x
-    pot = nls.Potential1D(v_geom=0.1 * np.exp(-grid**2 / 8))
-    traj = nls.evolve(nls.gaussian(X, 256, sigma=2.0), pot, 0.5, dt=1e-3,
-                      T=1.0, store_every=200)
-    e = [nls.energy(w, pot, 0.5) for w in traj]
-    d_energy = max(abs(v - e[0]) for v in e) / max(1.0, abs(e[0]))
-
-    pot_t = nls.Potential1D(
-        v=lambda t, x: np.sin(t) * np.exp(-x**2 / 4),
-        vdot=lambda t, x: np.cos(t) * np.exp(-x**2 / 4))
-    defects = []
-    for dt in (1e-3, 5e-4):
-        traj = nls.evolve(nls.gaussian(X, 256), pot_t, 1.0, dt=dt, T=0.25,
-                          store_every=1)
-        defects.append(nls.energy_drift_check(traj, pot_t, 1.0))
-    ratio = defects[0] / defects[1]
-
-    ok = (d_phase < 1e-6 and d_mass < 1e-10 and d_energy < 1e-8
-          and defects[0] < 1e-5 and 2.5 < ratio < 6.0)
-    report(3, ok, f"phase {d_phase:.1e}, mass {d_mass:.1e}, "
-                  f"energy {d_energy:.1e}, dE/dt {defects[0]:.1e} "
-                  f"(halving ratio {ratio:.2f})")
+    registry_criterion(3, "nls.plane_wave_phase", "nls.mass_conservation",
+                       "nls.static_energy_conservation",
+                       "nls.energy_derivative_identity",
+                       "nls.energy_derivative_second_order")
 
 
 def test_criterion_04_condensation_identities():
-    t0 = time.perf_counter()
-    worst = 0.0
-    worst_slack = np.inf
-    cases = [(3, 4), (2, 6), (3, 5)]
-    for seed in range(20):
-        N, d = cases[seed % len(cases)]
-        led = cd.weight_algebra_suite(N=N, d=d, seed=seed)
-        worst_slack = min(worst_slack, led.pop("qq_inequality_slack"))
-        worst = max(worst, max(led.values()))
-    eq = cd.equivalence_suite()
-    elapsed = time.perf_counter() - t0
-    ok = (worst < 1e-10 and worst_slack >= -1e-12
-          and eq["identity_defect"] < 1e-10 and eq["co_monotone"]
-          and elapsed < 60)
-    report(4, ok, f"max defect {worst:.1e} over 20 seeds, "
-                  f"min inequality slack {worst_slack:+.2e}, "
-                  f"equivalence defect {eq['identity_defect']:.1e}, "
-                  f"{elapsed:.1f}s")
+    registry_criterion(4, "condensation.operator_algebra_seeds",
+                       "condensation.measure_equivalence", seconds=60)
 
 
 def test_criterion_05_weight_bounds():
-    t0 = time.perf_counter()
-    ok = True
-    for N in (100, 1000, 10_000):
-        for xi in (0.1, 0.2, 0.4):
-            m = cd.weight_m(N, xi)
-            k = np.arange(N + 1)
-            n = np.sqrt(k / N)
-            ok = ok and np.all(m.table >= n - 1e-14) \
-                and np.all(m.table <= np.maximum(n, N**-xi) + 1e-14)
-            for ell in (1, 2, 3):
-                _, rep = cd.weight_m_ell(N, xi, ell)
-                ok = ok and rep["nonnegative"] and rep["sqrt_branch_ok"] \
-                    and rep["linear_branch_ok"]
-    elapsed = time.perf_counter() - t0
-    ok = bool(ok) and elapsed < 1.0
-    report(5, ok, f"sandwich and shifted bounds hold on the full grid, "
-                  f"{elapsed:.2f}s")
+    registry_criterion(5, "condensation.weight_m_sandwich",
+                       "condensation.weight_bounds", seconds=1.0)
 
 
 def test_criterion_06_taylor_remainder():
-    t0 = time.perf_counter()
-    frame = geo.bishop_frame(
-        geo.reparameterize_arclength(geo.circle(2.0)), n_nodes=512)
-    w = sc.bump_potential()
-    ratios = []
-    for eps in (0.05, 0.1):
-        for mu in (0.05, 0.1):
-            p = types.SimpleNamespace(eps=eps, mu=mu)
-            td = sc.taylor_decompose(w, p, frame, geo.no_twist(),
-                                     n_samples=20_000)
-            ratios.append(td.rbar / (eps + mu))
-    variation = max(ratios) / min(ratios)
-    elapsed = time.perf_counter() - t0
-    ok = variation < 3.0 and elapsed < 60
-    report(6, ok, f"rbar/(eps+mu) in [{min(ratios):.3f}, {max(ratios):.3f}], "
-                  f"variation {variation:.2f}x, {elapsed:.1f}s")
+    registry_criterion(6, "scaling.taylor_remainder", seconds=60)
 
 
 def bump_transform(k):
@@ -300,19 +222,7 @@ def test_criterion_10_confinement_scaling():
 
 
 def test_criterion_11_regime_classifier():
-    n = np.unique(np.geomspace(4, 64, 8).astype(int))
-    mod = sc.classify_sequence(
-        [sc.scaling_params(int(k), float(k) ** -0.4, 0.25) for k in n])
-    strong = sc.classify_sequence(
-        [sc.scaling_params(int(k), 1.0 / float(k), 0.25) for k in n])
-    const = sc.classify_sequence(
-        [sc.ScalingPoint(int(k), 0.5 - 1e-9 * k, 0.25) for k in n])
-    ok = (mod.admissible and mod.moderate and not mod.strong
-          and strong.admissible and strong.strong and not strong.moderate
-          and const.neither)
-    report(11, ok, f"alpha=0.4 -> moderate: {mod.moderate}, "
-                   f"alpha=1 -> strong: {strong.strong}, "
-                   f"constant eps rejected: {const.neither}")
+    registry_criterion(11, "scaling.classifier_examples")
 
 
 def test_criterion_12_verify_determinism(tmp_path):

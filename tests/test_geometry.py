@@ -76,18 +76,9 @@ class TestCurves:
         assert np.allclose(c.speed(x), 1.0, atol=1e-6)
 
     def test_degenerate_curve_rejected(self):
-        # constant curve: speed vanishes identically
-        t = np.linspace(0.0, 1.0, 101)
-        pts = np.ones((101, 3))
+        # helix of radius and pitch 0: speed vanishes identically
         with pytest.raises(geo.GeometryError, match="not regular"):
-            geo.reparameterize_arclength(geo.sampled_curve(t, pts))
-
-    def test_sampled_curve_matches_source(self):
-        t = np.linspace(0, 2 * np.pi, 513)
-        src = geo.circle(1.5)
-        smp = geo.sampled_curve(t, src.c(t))
-        tt = np.linspace(0.3, 5.9, 41)
-        assert np.allclose(smp.c(tt), src.c(tt), atol=1e-8)
+            geo.reparameterize_arclength(geo.helix(0.0, 0.0))
 
 
 class TestBishopFrame:

@@ -94,28 +94,30 @@ class TestPairPotential:
         assert np.isclose(w.mass, 3 * 64 * np.pi / 315)
         assert w(np.zeros(3)) == 3.0
 
-    def test_validate(self):
-        sc.validate_potential(sc.bump_potential())
-        bad = sc.PairPotential(wt=lambda s: s - 0.5, dwt=lambda s: 1.0,
-                               mass=1.0, first_moment=1.0)
-        with pytest.raises(sc.ScalingError):
-            sc.validate_potential(bad)
-
 
 class TestScaledPair:
-    def test_straight_guide_value(self):
+    # in the straight guide the scaled interaction of a pair is
+    # TaylorDecomposition.w0 = (eps^2/mu^3) w((r_eps(r1) - r_eps(r2)) / mu)
+    def test_straight_guide_value(self, line_frame):
         p = sc.scaling_params(10, 0.5, 0.25)
         w = sc.bump_potential()
-        v = sc.scaled_pair(w, p)
+        td = sc.taylor_decompose(w, p, line_frame, geo.no_twist(),
+                                 n_samples=100)
         r1 = np.array([0.0, 0.1, 0.0])
         r2 = np.array([0.3 * p.mu, 0.1, 0.0])
-        expected = (p.N - 1) * p.a / p.mu**3 * w.wt(np.array(0.09))
-        assert np.isclose(v(r1, r2), expected)
+        expected = p.eps**2 / p.mu**3 * w.wt(np.array(0.09))
+        assert np.isclose(td.w0(r1, r2), expected)
 
-    def test_out_of_range_zero(self):
+    def test_out_of_range_zero(self, line_frame):
         p = sc.scaling_params(10, 0.5, 0.25)
-        v = sc.scaled_pair(sc.bump_potential(), p)
-        assert v(np.zeros(3), np.array([2.0 * p.mu, 0, 0])) == 0.0
+        td = sc.taylor_decompose(sc.bump_potential(), p, line_frame,
+                                 geo.no_twist(), n_samples=100)
+        assert td.w0(np.zeros(3), np.array([2.0 * p.mu, 0, 0])) == 0.0
+
+
+@pytest.fixture(scope="module")
+def line_frame():
+    return geo.bishop_frame(geo.line(), n_nodes=256)
 
 
 @pytest.fixture(scope="module")
@@ -131,12 +133,22 @@ def modes():
 
 class TestTaylorDecomposition:
 
-    def test_straight_guide_remainder_vanishes(self):
-        frame = geo.bishop_frame(geo.line(), n_nodes=256)
+    def test_straight_guide_remainder_vanishes(self, line_frame):
         p = sc.scaling_params(10, 0.1, 0.25)
-        td = sc.taylor_decompose(sc.bump_potential(), p, frame, geo.no_twist(),
-                                 n_samples=2000)
+        td = sc.taylor_decompose(sc.bump_potential(), p, line_frame,
+                                 geo.no_twist(), n_samples=2000)
         assert td.rbar == 0.0
+        # the embedding of the straight guide is the scaling r -> r_eps, so
+        # the interaction is w0 and the first-order term vanishes
+        rng = np.random.default_rng(0)
+        r1 = np.column_stack([rng.uniform(-4.0, 4.0, 50),
+                              rng.uniform(-0.5, 0.5, (50, 2))])
+        r2 = r1 + rng.uniform(-0.5, 0.5, (50, 3)) * [p.mu, p.mu / p.eps,
+                                                     p.mu / p.eps]
+        assert any(td.w0(a, b) > 0.0 for a, b in zip(r1, r2))
+        for a, b in zip(r1, r2):
+            assert td.exact(a, b) == td.w0(a, b)
+            assert td.t1(a, b) == 0.0
 
     def test_curved_guide_decomposition(self, circle_frame):
         p = sc.scaling_params(10, 0.1, 0.25)
@@ -146,8 +158,6 @@ class TestTaylorDecomposition:
         x0 = circle_frame.x[len(circle_frame.x) // 2]
         r1 = np.array([x0, 0.1, 0.0])
         r2 = np.array([x0 + 0.3 * p.mu, -0.1, 0.05])
-        total = td.w0(r1, r2) + td.t1(r1, r2) + td.t2(r1, r2)
-        assert np.isclose(total, td.exact(r1, r2), rtol=1e-12, atol=1e-12)
         # first-order term captures most of the curvature correction
         assert abs(td.t2(r1, r2)) <= abs(td.t1(r1, r2)) + 1e-12
 
