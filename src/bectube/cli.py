@@ -338,52 +338,87 @@ def cmd_evolve(cfg: dict, out: Path) -> dict:
     }
 
 
-def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
-    """One (N, eps) run: exact evolution plus the lattice mean-field
-    reference, with condensation observables at the initial time and 10
-    stored times."""
+def _lattice(cfg: dict, N: int, eps: float, modes):
+    """The lattice model of one (N, eps) point: (spb, offsets, K, h_one,
+    phi0), with phi0 the ground state of the one-body matrix."""
     sv = cfg["solver"]
-    sc = cfg["scaling"]
     G_x, m, dx = sv["G_x"], cfg["cross_section"]["m"], sv["dx"]
-    spt = scaling.scaling_params(N, eps, sc["beta"])
-    w = scaling.bump_potential()
+    spt = scaling.scaling_params(N, eps, cfg["scaling"]["beta"])
     spb = manybody.SingleParticleBasis(G_x=G_x, dx=dx, eps=eps,
                                        transverse_energies=modes.energies[:m])
-    offsets, K = manybody.mode_kernel(modes, w, spt, dx)
+    offsets, K = manybody.mode_kernel(modes, scaling.bump_potential(), spt, dx)
     h_one = manybody.one_body_matrix(spb)
-    basis = manybody.build_basis(spb.d, N)
-    H = manybody.build_hamiltonian(basis, h_one, offsets, K, G_x=G_x, m=m)
+    phi0 = np.linalg.eigh(h_one)[1][:, 0].astype(complex)
+    return spb, offsets, K, h_one, phi0
 
-    evals, evecs = np.linalg.eigh(h_one)
-    phi0 = evecs[:, 0].astype(complex)
+
+# phi0 counts as stationary when its residual under its own mean field is
+# round-off: at most STATIONARY_RTOL times the one-body matrix's norm, which
+# grows as 1/eps^2 and 1/dx^2
+STATIONARY_RTOL = 1e-12
+
+
+def _stationarity(spb, offsets, K, h_one, N: int, phi0):
+    """(residual, bound): phi0's residual under its own mean field and the
+    largest residual that counts as stationary."""
+    _, residual = manybody.mean_field_stationary(h_one, offsets, K, spb.G_x,
+                                                 spb.m, N, phi0)
+    return residual, STATIONARY_RTOL * max(1.0, np.linalg.norm(h_one, 1))
+
+
+def _mean_field_refs(spb, offsets, K, h_one, N: int, phi0, T: float,
+                     steps: int) -> list:
+    """(condensate_ref, e_phi) of the Hartree solution from phi0 at the
+    times k T / steps, k = 0..steps.
+
+    On the translation-invariant lattice phi0 is a stationary Hartree
+    solution when no excited transverse mode among the first m couples to
+    the ground mode, e.g. when each of them is odd under some symmetry of
+    the cross-section; its projector is then the reference at every time.
+    That is checked.  Where phi0's residual is above round-off (a square at
+    m >= 5, whose (1, 3) and (3, 1) modes are even under every symmetry)
+    the reference is integrated by ``hartree_evolve`` instead."""
+    residual, bound = _stationarity(spb, offsets, K, h_one, N, phi0)
+    args = (h_one, offsets, K, spb.G_x, spb.m, N)
+    if residual <= bound:
+        ref = condensation.condensate_ref(phi0)
+        return [(ref, manybody.hartree_energy(*args, ref.phi))] * (steps + 1)
+    # Hartree steps of at most min(1e-3, T/1000), rounded up to a multiple
+    # of the frame count: frame k is Hartree frame k * stride
+    stride = -(-manybody._steps(T, min(1e-3, T / 1000))[0] // steps)
+    hart = manybody.hartree_evolve(*args, phi0, T=T, dt=T / (stride * steps))
+    refs = [condensation.condensate_ref(phi) for _, phi in hart[::stride]]
+    return [(ref, manybody.hartree_energy(*args, ref.phi)) for ref in refs]
+
+
+def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
+    """One (N, eps) run: exact evolution from the condensate of phi0, with
+    condensation observables against the mean-field reference at the
+    initial time and 10 stored times, one Lanczos call apart."""
+    spb, offsets, K, h_one, phi0 = _lattice(cfg, N, eps, modes)
+    basis = manybody.build_basis(spb.d, N)
+    H = manybody.build_hamiltonian(basis, h_one, offsets, K, G_x=spb.G_x,
+                                   m=spb.m)
     psi0 = manybody.condensate_state(basis, phi0)
 
     steps = 10
-    frames = manybody.evolve_state(basis, H, psi0, T=T,
-                                   dt=T / (steps * 4),
-                                   store_every=4)
-    # Hartree steps of at most min(1e-3, T/1000), rounded up to a multiple
-    # of the frame count: many-body frame k is Hartree frame k * stride
-    stride = -(-manybody._steps(T, min(1e-3, T / 1000))[0] // steps)
-    hart = manybody.hartree_evolve(h_one, offsets, K, G_x, m, N, phi0,
-                                   T=T, dt=T / (stride * steps))
+    frames = manybody.evolve_state(basis, H, psi0, T=T, dt=T / steps,
+                                   store_every=1)
+    refs = _mean_field_refs(spb, offsets, K, h_one, N, phi0, T, steps)
 
-    xi = sc["xi"]
+    xi = cfg["scaling"]["xi"]
     mweight = condensation.weight_m(N, xi)
     e0 = manybody.energy_per_particle(basis, psi0, H)
     rows = []
-    for k, (tpsi, psi) in enumerate(frames):
-        t_phi, phi_t = hart[k * stride]
-        ref = condensation.condensate_ref(phi_t)
+    for (tpsi, psi), (ref, e_phi) in zip(frames, refs):
         pk = condensation.sector_weights(basis, ref, psi)
         a_n2 = float(np.dot(condensation.weight_n(N, 2.0).table, pk))
         a_m = float(np.dot(mweight.table, pk))
         e_psi = manybody.energy_per_particle(basis, psi, H)
-        e_phi = manybody.hartree_energy(h_one, offsets, K, G_x, m, N, phi_t)
         g1 = manybody.reduced_density(basis, psi, M=1)
         tdist = manybody.trace_distance(g1, ref.projector)
         rows.append({
-            "t": tpsi, "t_phi": t_phi, "alpha_n2": a_n2, "alpha_m": a_m,
+            "t": tpsi, "alpha_n2": a_n2, "alpha_m": a_m,
             "alpha_xi": condensation.alpha_xi_value(a_m, e_psi, e_phi),
             "trace_dist": tdist, "e_psi": e_psi, "e_phi": e_phi,
             "excitation": manybody.excitation_probability(basis, psi, spb),
@@ -688,6 +723,16 @@ def _verify_registry():
         g_dense = condensation.reduced_density_dense(psi_dense, N, d0, M=1)
         d = float(np.abs(g_fock - g_dense).max())
         return d < 1e-12, d
+
+    @add("manybody", "mean_field_stationary")
+    def _():
+        # the default config's phi0 under its own mean field
+        cfg = load_config(None)
+        N = cfg["scaling"]["N"]
+        spb, offsets, K, h_one, phi0 = _lattice(cfg, N, cfg["scaling"]["eps"],
+                                                build_modes(cfg))
+        d, bound = _stationarity(spb, offsets, K, h_one, N, phi0)
+        return d <= bound, d
 
     @add("condensation", "operator_algebra")
     def _():

@@ -494,26 +494,37 @@ def g_function(e0: float, t: float, vdot_sup: Callable = None) -> float:
 # lattice mean-field reference dynamics
 
 
+def _mean_field(h_one, offsets, K, G_x: int, m: int, N: int,
+                d: int) -> Callable:
+    """v -> H_mf(v) v = h v + 2 (N-1) sum_t coef_t conj(v_q) v_r v_s e_p
+    over the ``pair_terms``: the Hartree right-hand side times i."""
+    h_one = _one_body(h_one, d)
+    p, q, r, s, coef = pair_terms(offsets, K, d, G_x, m)
+    coef = 2 * (N - 1) * coef
+
+    def apply(v):
+        hv = h_one @ v
+        np.add.at(hv, p, coef * np.conj(v[q]) * v[r] * v[s])
+        return hv
+
+    return apply
+
+
 def hartree_evolve(h_one, offsets, K, G_x: int, m: int, N: int,
                    phi0: np.ndarray, T: float, dt: float = 1e-3,
                    v_ext: Callable = None, x: np.ndarray = None):
     """Mean-field (Hartree) evolution of a one-body vector under the same
     lattice and kernel as the many-body model.
 
-    i dphi/dt = h phi + 2 (N-1) sum_t coef_t conj(phi_q) phi_r phi_s e_p over
-    the ``pair_terms``, integrated by RK4.  Returns a list of (t, phi) frames
-    at every step.
+    i dphi/dt = H_mf(phi) phi (see ``_mean_field``) plus V(t, x) phi,
+    integrated by RK4.  Returns a list of (t, phi) frames at every step.
     """
-    d = len(phi0)
-    h_one = _one_body(h_one, d)
-    p, q, r, s, coef = pair_terms(offsets, K, d, G_x, m)
-    coef = 2 * (N - 1) * coef
+    h_mf = _mean_field(h_one, offsets, K, G_x, m, N, len(phi0))
     phi = np.asarray(phi0, dtype=complex)
     phi = phi / np.linalg.norm(phi)
 
     def rhs(t, v):
-        hv = h_one @ v
-        np.add.at(hv, p, coef * np.conj(v[q]) * v[r] * v[s])
+        hv = h_mf(v)
         if v_ext is not None:
             hv = hv + np.repeat(v_ext(t, x), m) * v
         return -1j * hv
@@ -538,12 +549,28 @@ def _rk4(rhs: Callable, phi: np.ndarray, n_steps: int, dt: float) -> list:
     return frames
 
 
+def mean_field_stationary(h_one, offsets, K, G_x: int, m: int, N: int,
+                          phi: np.ndarray):
+    """(lambda, residual) of a unit phi under its own static mean field:
+    lambda = <phi, H_mf(phi) phi> and residual
+    ||H_mf(phi) phi - lambda phi||, with H_mf(phi) phi the Hartree
+    right-hand side of ``hartree_evolve`` times i.
+
+    A zero residual makes exp(-i lambda t) phi the exact Hartree solution
+    from phi, so its projector |phi><phi| is the mean-field reference at
+    every time."""
+    phi = np.asarray(phi, dtype=complex)
+    hphi = _mean_field(h_one, offsets, K, G_x, m, N, len(phi))(phi)
+    lam = np.vdot(phi, hphi).real
+    return float(lam), float(np.linalg.norm(hphi - lam * phi))
+
+
 def hartree_energy(h_one, offsets, K, G_x: int, m: int, N: int,
                    phi: np.ndarray) -> float:
-    """Per-particle mean-field energy for the same lattice and kernel:
-    <phi, h phi> + (N-1) sum_t coef_t conj(phi_p phi_q) phi_r phi_s."""
+    """Per-particle mean-field energy of a unit phi for the same lattice
+    and kernel: <phi, h phi> + (N-1) sum_t coef_t conj(phi_p phi_q) phi_r
+    phi_s.  phi is not normalized here."""
     phi = np.asarray(phi, dtype=complex)
-    phi = phi / np.linalg.norm(phi)
     h_one = _one_body(h_one, len(phi))
     p, q, r, s, coef = pair_terms(offsets, K, len(phi), G_x, m)
     e = np.vdot(phi, h_one @ phi).real

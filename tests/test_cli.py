@@ -194,6 +194,7 @@ class TestVerifyRegistry:
                            "manybody", "condensation"}
         names = [(m, n) for m, n, _ in checks]
         assert len(names) == len(set(names))
+        assert ("manybody", "mean_field_stationary") in names
         assert len(checks) >= 20
 
 
@@ -231,9 +232,9 @@ class TestRunSetup:
         assert len(calls) == 1
         assert np.any(pot.v_geom != 0) and b > 0
 
-    def test_hartree_frames_at_many_body_times(self, tmp_path):
-        # T / 1e-3 = 1234.5 is not a multiple of the 10 frames: the Hartree
-        # step is shortened so that every frame time is a Hartree step
+    def test_frames_end_at_T(self, tmp_path):
+        # T = 1.2345 is no multiple of a round step: the 10 Lanczos steps
+        # are T / 10 each and the last frame is at T
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"cross_section": {"n": 31, "m": 1},
                                  "solver": {"G_x": 4}}))
@@ -242,4 +243,88 @@ class TestRunSetup:
                                    T=1.2345)
         assert len(rows) == 11
         assert rows[-1]["t"] == pytest.approx(1.2345, abs=1e-12)
-        assert max(abs(r["t"] - r["t_phi"]) for r in rows) < 1e-12
+
+    def test_one_lanczos_call_per_frame_and_no_hartree_run(
+            self, outdir, tmp_path, monkeypatch):
+        calls = []
+        apply = cli.manybody.lanczos_expm_apply
+
+        def counting(*args, **kwargs):
+            calls.append("lanczos")
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(cli.manybody, "lanczos_expm_apply", counting)
+        monkeypatch.setattr(cli.manybody, "hartree_evolve",
+                            lambda *a, **k: calls.append("hartree"))
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"cross_section": {"n": 31, "m": 2},
+                                 "solver": {"G_x": 4}, "scaling": {"N": 2}}))
+        assert cli.main(["manybody", "--config", str(p)]) == 0
+        assert calls == ["lanczos"] * 10
+
+
+def _holed_square_modes(m):
+    """Modes of a square with an off-centre hole: no reflection maps the
+    cross-section onto itself."""
+    y = np.linspace(0.0, np.pi, 33)[1:-1]
+    mask = np.ones((31, 31), dtype=bool)
+    mask[5:11, 8:14] = False
+    return cli.transverse.dirichlet_modes(cli.transverse.masked(y, y, mask),
+                                          m=m)
+
+
+class TestStationaryReference:
+    def config(self, tmp_path, **solver):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"cross_section": {"n": 31},
+                                 "solver": {"G_x": 4, **solver}}))
+        return cli.load_config(p)
+
+    def run(self, cfg, modes, monkeypatch, eps=0.25):
+        """_manybody_point at N = 2 with the Hartree runs it makes."""
+        runs = []
+        evolve = cli.manybody.hartree_evolve
+
+        def recording(*args, **kwargs):
+            runs.append(evolve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli.manybody, "hartree_evolve", recording)
+        cfg["cross_section"]["m"] = len(modes.energies)
+        return cli._manybody_point(cfg, 2, eps, modes, T=1.0), runs
+
+    @pytest.mark.parametrize("modes", [
+        # the hole couples chi_1 to the ground mode (residual about 2e-4)
+        lambda: _holed_square_modes(2),
+        # (1, 3) and (3, 1) are even under every symmetry of the square
+        # and couple to (1, 1) (residual about 6e-3 at n = 127)
+        lambda: cli.transverse.dirichlet_modes(
+            cli.transverse.rectangle(np.pi, np.pi, n=31), m=5),
+    ], ids=["holed_square_m2", "square_m5"])
+    def test_non_stationary_ground_state_integrates_hartree(
+            self, tmp_path, monkeypatch, modes):
+        rows, runs = self.run(self.config(tmp_path), modes(), monkeypatch)
+        (hart,) = runs
+        # every frame time is a Hartree step
+        stride = (len(hart) - 1) // 10
+        assert len(rows) == 11 and len(hart) == 10 * stride + 1
+        assert max(abs(r["t"] - hart[k * stride][0])
+                   for k, r in enumerate(rows)) < 1e-12
+        assert len({r["e_phi"] for r in rows}) > 1
+
+    def test_one_transverse_mode_stationary(self, tmp_path, monkeypatch):
+        # with one transverse mode translation invariance alone makes the
+        # uniform phi0 stationary (residual about 1.6e-15)
+        rows, runs = self.run(self.config(tmp_path), _holed_square_modes(1),
+                              monkeypatch)
+        assert runs == [] and len(rows) == 11
+        assert all(r["e_phi"] == rows[0]["e_phi"] for r in rows)
+
+    def test_small_eps_and_dx_stationary(self, tmp_path, monkeypatch):
+        # (E_1 - E_0)/eps^2 and 4/dx^2 raise the norm of h_one to about 9e3,
+        # and the round-off residual with it (about 1.5e-12): the bound
+        # scales with that norm
+        cfg = self.config(tmp_path, G_x=16, dx=0.05)
+        rows, runs = self.run(cfg, cli.build_modes(cfg), monkeypatch,
+                              eps=0.02)
+        assert runs == [] and len(rows) == 11

@@ -583,6 +583,11 @@ class TestHartree:
                                    phi, T=dt, dt=dt)
         step = (frames[-1][1] - phi) / dt
         assert np.linalg.norm(step - rhs) < 1e-4 * np.linalg.norm(rhs)
+        # the stationarity residual reads the same right-hand side
+        lam, residual = mb.mean_field_stationary(s["h"], s["offsets"], s["K"],
+                                                 3, 2, N, phi)
+        assert abs(lam - np.vdot(phi, 1j * rhs).real) < 1e-12
+        assert abs(residual - np.linalg.norm(1j * rhs - lam * phi)) < 1e-12
 
     def test_external_potential_enters_per_site(self, small_system):
         # V(t, x) at site g acts on both transverse modes of that site, like
@@ -606,3 +611,34 @@ class TestHartree:
         c0 = evecs.conj().T @ s["phi0"]
         exact = evecs @ (np.exp(-1j * evals * 0.2) * c0)
         assert np.linalg.norm(frames[-1][1] - exact) < 1e-8
+
+
+class TestStationaryReference:
+    @pytest.fixture(scope="class")
+    def default_lattice(self):
+        cfg = cli.load_config(None)
+        N = cfg["scaling"]["N"]
+        spb, offsets, K, h, phi0 = cli._lattice(
+            cfg, N, cfg["scaling"]["eps"], cli.build_modes(cfg))
+        return dict(args=(h, offsets, K, spb.G_x, spb.m, N), phi0=phi0)
+
+    @pytest.mark.parametrize("T", [1.0, 1.2345])
+    def test_projector_matches_fine_hartree_run(self, default_lattice, T):
+        # RK4 at a sixteenth of the 1e-3 step stays on phi0's projector,
+        # and on its phase exp(-i lambda t)
+        args, phi0 = default_lattice["args"], default_lattice["phi0"]
+        lam, residual = mb.mean_field_stationary(*args, phi0)
+        assert residual <= 1e-12
+        phi_T = mb.hartree_evolve(*args, phi0, T=T, dt=1e-3 / 16)[-1][1]
+        P = np.outer(phi0, phi0.conj())
+        assert np.linalg.norm(np.outer(phi_T, phi_T.conj()) - P) <= 1e-12
+        assert np.linalg.norm(phi_T - np.exp(-1j * lam * T) * phi0) <= 1e-12
+
+    def test_energy_not_renormalized(self, default_lattice):
+        # e_phi of the unit phi0 equals the value at an explicitly
+        # normalized copy; a scaled phi is not normalized away
+        args, phi0 = default_lattice["args"], default_lattice["phi0"]
+        e = mb.hartree_energy(*args, phi0)
+        assert abs(e - mb.hartree_energy(*args, phi0 / np.linalg.norm(phi0))) \
+            <= 1e-14
+        assert mb.hartree_energy(*args, 2 * phi0) != pytest.approx(e)
