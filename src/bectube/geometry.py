@@ -18,7 +18,6 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 
 class GeometryError(ValueError):
@@ -139,7 +138,11 @@ def reparameterize_arclength(curve: CurveSpec) -> CurveSpec:
             ddc=lambda x: ddc0(np.asarray(x) / vbar) / vbar**2,
             arclength=True,
         )
-    # general case: invert s(t) numerically
+    # general case: invert s(t) numerically.  scipy.interpolate is imported
+    # here and in FrameField._spline only: it loads scipy.optimize,
+    # scipy.special and scipy.spatial too, 0.2-0.36 s on a 2-vCPU host
+    from scipy.interpolate import CubicSpline
+
     tfine = np.linspace(curve.x_min, curve.x_max, 16 * n_check)
     vfine = curve.speed(tfine)
     s = np.concatenate([[0.0], np.cumsum(
@@ -243,8 +246,10 @@ class FrameField:
         G = np.einsum("nij,nkj->nik", B, B)
         return float(np.max(np.abs(G - np.eye(3))))
 
-    def _spline(self, name: str, data: np.ndarray) -> CubicSpline:
+    def _spline(self, name: str, data: np.ndarray):
         if name not in self._splines:
+            from scipy.interpolate import CubicSpline
+
             self._splines[name] = CubicSpline(self.x, data, axis=0)
         return self._splines[name]
 

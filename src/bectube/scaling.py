@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.interpolate import RegularGridInterpolator, interp1d
 
 from .geometry import FrameField, TwistSpec, embed
 from .transverse import TransverseModes
@@ -261,15 +259,55 @@ def taylor_decompose(w: PairPotential, sp: ScalingPoint, frame: FrameField,
 # effective 1D kernel and coupling
 
 
+def _next_5_smooth(n: int) -> int:
+    """Smallest integer >= n with no prime factor above 5, the padded length
+    ``scipy.fft.next_fast_len(n, real=True)`` gives."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real arrays of one rank, no axis of
-    length one, by FFT with the arithmetic of ``scipy.signal.fftconvolve``:
-    both inputs padded to next_fast_len of the full shape, multiplied as
-    rfftn, back by irfftn and cut to the full shape."""
+    """Full linear convolution of two real 2D arrays by FFT with the
+    arithmetic of ``scipy.signal.fftconvolve``: both inputs padded to the
+    5-smooth length of the full shape, multiplied as rfftn, back by an
+    unnormalised irfftn times one factor 1/(f1 f2), and cut to the full
+    shape.  numpy's default irfftn scales once per axis, which rounds
+    differently."""
     shape = [n + k - 1 for n, k in zip(a.shape, b.shape)]
-    fshape = [next_fast_len(n, True) for n in shape]
-    out = irfftn(rfftn(a, fshape) * rfftn(b, fshape), fshape)
+    fshape = [_next_5_smooth(n) for n in shape]
+    spec = (np.fft.rfftn(a, fshape, axes=(0, 1))
+            * np.fft.rfftn(b, fshape, axes=(0, 1)))
+    out = (np.fft.irfftn(spec, fshape, axes=(0, 1), norm="forward")
+           * (1.0 / (fshape[0] * fshape[1])))
     return out[tuple(slice(n) for n in shape)]
+
+
+def _lag_weights(lag: np.ndarray, y: np.ndarray):
+    """Bracketing interval and linear weights (1 - t, t) of the points y on
+    the ascending grid lag, as ``RegularGridInterpolator`` finds them; a
+    point outside [lag[0], lag[-1]] gets weight 0 on both ends."""
+    i = np.clip(np.searchsorted(lag, y, side="right") - 1, 0, len(lag) - 2)
+    t = (y - lag[i]) / (lag[i + 1] - lag[i])
+    inside = (y >= lag[0]) & (y <= lag[-1])
+    return i, np.where(inside, 1.0 - t, 0.0), np.where(inside, t, 0.0)
+
+
+def _bilinear(values: np.ndarray, lag1: np.ndarray, lag2: np.ndarray,
+              y: np.ndarray) -> np.ndarray:
+    """Bilinear interpolation of values on the grid lag1 x lag2 at the
+    points y x y, shape (len(y), len(y)); points outside the grid read 0.
+    The sum has the order of ``RegularGridInterpolator(method="linear")``."""
+    i, a1, b1 = _lag_weights(lag1, y)
+    j, a2, b2 = _lag_weights(lag2, y)
+    i, a1, b1 = i[:, None], a1[:, None], b1[:, None]
+    return (values[i, j] * a1 * a2 + values[i, j + 1] * a1 * b2
+            + values[i + 1, j] * b1 * a2 + values[i + 1, j + 1] * b1 * b2)
 
 
 def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
@@ -300,7 +338,6 @@ def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
     fy = np.linspace(-half, half, 17)
     hf = fy[1] - fy[0]
     FY1, FY2 = np.meshgrid(fy, fy, indexing="ij")
-    pts = np.stack([FY1.ravel(), FY2.ravel()], axis=-1)
 
     # pair products chi_a chi_d (a <= d) and their lag correlations
     pair = np.zeros((m, m), dtype=int)
@@ -309,12 +346,11 @@ def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
         for dd in range(a, m):
             pair[a, dd] = pair[dd, a] = len(prods)
             prods.append(chi[a] * chi[dd])
-    Q = np.empty((len(prods), len(prods), len(pts)))
+    Q = np.empty((len(prods), len(prods), fy.size**2))
     for p, A in enumerate(prods):
         for q, B in enumerate(prods):
             corr = _full_convolve(A, B[::-1, ::-1]) * h**2
-            Q[p, q] = RegularGridInterpolator(
-                (lag1, lag2), corr, bounds_error=False, fill_value=0.0)(pts)
+            Q[p, q] = _bilinear(corr, lag1, lag2, fy).ravel()
 
     x = np.asarray(x, dtype=float)
     s = (x[:, None]**2 + eps**2 * (FY1**2 + FY2**2).ravel()) / mu**2
@@ -361,12 +397,13 @@ def b_coefficient(modes: TransverseModes, w: PairPotential,
 def _radial_ft_table(w: PairPotential, k_max: float):
     """Radial 3D Fourier transform of w on 4096 points of [0, k_max]:
     4 pi int_0^1 r^2 w(r) sinc(k r) dr by 64-node Gauss-Legendre on the unit
-    ball's radius, all k in one matrix product."""
+    ball's radius, all k in one matrix product.  Returns its linear
+    interpolant, which reads 0 outside [0, k_max]."""
     k = np.linspace(0.0, k_max, 4096)
     r, wq = np.polynomial.legendre.leggauss(64)
     r, wq = 0.5 * (r + 1.0), 0.5 * wq
     vals = 4 * np.pi * np.sinc(np.outer(k, r) / np.pi) @ (wq * r**2 * w.radial(r))
-    return interp1d(k, vals, bounds_error=False, fill_value=0.0)
+    return lambda q: np.interp(q, k, vals, left=0.0, right=0.0)
 
 
 def convolution_defect(w: PairPotential, eps: float, mu: float,

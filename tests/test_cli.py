@@ -199,18 +199,43 @@ class TestVerifyRegistry:
 
 
 class TestImports:
-    def test_start_up_leaves_slow_scipy_subpackages_unloaded(self):
-        # scipy.signal, scipy.stats and scipy.integrate took about 0.6 s of
-        # the CLI's start-up, and no subcommand needs them at import time
+    # imported at start-up these cost the CLI about 0.6 s (signal, stats,
+    # integrate) and 0.3 s (interpolate and fft with what they pull in); the
+    # package needs scipy.interpolate only for the splines of the pointwise
+    # embedding and of non-constant-speed curves, scipy.stats only for
+    # verify's sampler
+    SLOW = ("scipy.signal", "scipy.stats", "scipy.integrate",
+            "scipy.interpolate", "scipy.fft", "scipy.special",
+            "scipy.optimize", "scipy.spatial")
+
+    def _loaded_after(self, code):
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import sys, bectube, bectube.cli; print(*sorted(m for m in "
-                "('scipy.signal', 'scipy.stats', 'scipy.integrate') "
-                "if m in sys.modules))")
+        code += f"\nprint(*sorted(m for m in {self.SLOW!r} if m in sys.modules))"
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.split() == []
+        return out.stdout.splitlines()[-1].split()
+
+    def test_start_up_leaves_slow_scipy_subpackages_unloaded(self):
+        assert self._loaded_after("import sys, bectube, bectube.cli") == []
+
+    def test_benchmarked_commands_leave_them_unloaded(self, tmp_path):
+        # the cost must be gone, not moved from start-up into the run: the
+        # default manybody run, and coeffs and evolve on a twisted helix with
+        # a disk cross-section
+        cfg = tmp_path / "helix_disk.json"
+        cfg.write_text(json.dumps({
+            "geometry": {"curve": "helix", "radius": 1.0, "pitch": 1.0,
+                         "twist_rate": 0.5},
+            "cross_section": {"shape": "disk", "radius": 1.0}}))
+        out = str(tmp_path / "out")
+        code = "\n".join([
+            "import sys, bectube.cli as cli",
+            f"assert cli.main(['manybody', '--out', {out!r}]) == 0",
+            *(f"assert cli.main([{c!r}, '--config', {str(cfg)!r}, "
+              f"'--out', {out!r}]) == 0" for c in ("coeffs", "evolve"))])
+        assert self._loaded_after(code) == []
 
 
 class TestRunSetup:

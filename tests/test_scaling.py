@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator, interp1d
 from scipy.signal import fftconvolve
 
 from bectube import geometry as geo
@@ -170,7 +172,9 @@ class TestTaylorDecomposition:
 
 class TestFullConvolve:
     @pytest.mark.parametrize("s1, s2", [((7, 7), (7, 7)), ((8, 8), (8, 8)),
-                                        ((5, 9), (6, 4)), ((63, 63), (63, 63))])
+                                        ((5, 9), (6, 4)), ((63, 63), (63, 63)),
+                                        ((127, 127), (127, 127)),
+                                        ((127, 63), (127, 63))])
     def test_bitwise_equal_to_fftconvolve(self, s1, s2):
         rng = np.random.default_rng(sum(s1) + sum(s2))
         a, b = rng.standard_normal(s1), rng.standard_normal(s2)
@@ -178,6 +182,48 @@ class TestFullConvolve:
         # the reversed view pair_kernel passes for a correlation
         assert np.array_equal(sc._full_convolve(a, b[::-1, ::-1]),
                               fftconvolve(a, b[::-1, ::-1]))
+
+    def test_padded_length_is_scipys_real_fast_length(self):
+        assert all(sc._next_5_smooth(n) == next_fast_len(n, True)
+                   for n in range(1, 1200))
+
+
+class TestLagLookup:
+    @pytest.mark.parametrize("a, b", [(np.pi, np.pi), (2 * np.pi, np.pi)])
+    def test_bilinear_matches_regular_grid_interpolator(self, a, b):
+        modes = tv.dirichlet_modes(tv.rectangle(a, b, n=63), m=2)
+        chi, h = modes.chi, modes.cs.h
+        lag1, lag2 = (h * np.arange(-(n - 1), n) for n in chi.shape[1:])
+        A, B = chi[0] * chi[1], chi[1] ** 2
+        corr = sc._full_convolve(A, B[::-1, ::-1]) * h**2
+        # pair_kernel's 17 points over the first axis's whole lag range, the
+        # ends of both ranges exactly, and points just beyond them
+        end1, end2 = lag1[-1], lag2[-1]
+        y = np.concatenate([np.linspace(-end1, end1, 17),
+                            [-end2, end2, 0.3 * h, np.nextafter(end2, 1.0),
+                             np.nextafter(end1, 2.0 * end1), -1.5 * end1]])
+        Y1, Y2 = np.meshgrid(y, y, indexing="ij")
+        ref = RegularGridInterpolator((lag1, lag2), corr, bounds_error=False,
+                                      fill_value=0.0)(np.stack([Y1, Y2], -1))
+        got = sc._bilinear(corr, lag1, lag2, y)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        outside = (np.abs(Y1) > end1) | (np.abs(Y2) > end2)
+        assert np.all(got[outside] == 0.0)
+        if len(lag2) < len(lag1):
+            # lags beyond the shorter axis lie inside pair_kernel's range
+            assert np.any((np.abs(Y2) > end2) & (np.abs(Y1) <= end1))
+
+    def test_radial_table_matches_interp1d(self):
+        w = sc.bump_potential()
+        k = np.linspace(0.0, 60.0, 4096)
+        table = sc._radial_ft_table(w, k_max=60.0)
+        ref = interp1d(k, table(k), bounds_error=False, fill_value=0.0)
+        q = np.array([0.0, 1e-3, 17.25, 60.0 - 1e-9, 60.0,
+                      np.nextafter(60.0, 61.0), 75.0])
+        assert np.max(np.abs(table(q) - ref(q))) <= 1e-15 * abs(table(0.0))
+        assert table(0.0) == ref(0.0)
+        assert np.all(table(q[-2:]) == 0.0)
 
 
 class TestEffectiveKernel:
