@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .manybody import FockBasis, _rk4, _steps, lower
+from .manybody import FockBasis, _re_dot, _rk4, _steps, lower
 
 
 class CondensationError(ValueError):
@@ -235,12 +235,12 @@ def sector_weights(basis: FockBasis, ref: CondensateRef,
     if ref.d != basis.d:
         raise CondensationError("reference dimension does not match the basis")
     N = basis.N
-    v = np.asarray(psi, dtype=complex)
-    moments = [np.vdot(v, v).real]
+    v = np.ascontiguousarray(psi, dtype=complex)
+    moments = [_re_dot(v, v)]
     for j in range(1, N + 1):
         basis, out = lower(basis, v)
-        v = ref.phi.conj() @ out
-        moments.append(np.vdot(v, v).real / factorial(j))
+        v = np.einsum("i,ij->j", ref.phi.conj(), out)
+        moments.append(_re_dot(v, v) / factorial(j))
     n = np.arange(N + 1)
     binom = np.array([[comb(j, k) for j in n] for k in n], dtype=float)
     sign = (-1.0) ** (n[None, :] - n[:, None])

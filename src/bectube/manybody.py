@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dstev
 
 from .scaling import PairPotential, ScalingPoint, pair_kernel
 from .transverse import TransverseModes
@@ -286,7 +287,8 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
     h_one = _one_body(h_one, d)
     h_one = 0.5 * (h_one + h_one.T.conj())
 
-    diag = occ @ np.real(np.diag(h_one))
+    # a numpy sum, not a threaded dgemv (see the note above ``_re_dot``)
+    diag = (occ * np.real(np.diag(h_one))).sum(axis=1)
     ii, jj = np.nonzero(np.abs(h_one - np.diag(np.diag(h_one))) > 1e-15)
     term, tgt, src, amp = hop(basis, basis, ii[:, None], jj[:, None])
     rows, cols, vals = [tgt], [src], [amp * h_one[ii, jj][term]]
@@ -313,13 +315,35 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
 # propagation
 
 
+# No Fock-space product calls threaded BLAS.  Above 10000 entries OpenBLAS
+# threads zdotc, ddot, zgemv and dgemv, and dsyevd from k = 32; the worker
+# thread one call wakes spins about 0.13 s after its last job, through the
+# sparse matvecs that follow, for no gain in wall time.  Inner products are
+# ``_re_dot``, products with the occupation table and the lowered states
+# are numpy sums or einsum, and the Krylov exponential is LAPACK's
+# tridiagonal solver.
+
+
 def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Re <a, b> of two contiguous complex vectors, as one real sum over
-    the product of their float views.  Not BLAS: above 10000 entries
-    OpenBLAS threads zdotc and ddot, and the second thread they wake then
-    spins through the sparse matvec that follows.  ``np.add.reduce`` sums
-    pairwise, so the round-off grows like log n, not like einsum's n."""
+    the product of their float views.  Not BLAS (see above).
+    ``np.add.reduce`` sums pairwise, so the round-off grows like log n, not
+    like einsum's n."""
     return float(np.add.reduce(a.view(float) * b.view(float)))
+
+
+def _expm_e1(alpha: np.ndarray, beta: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i dt T) e_1 for the symmetric tridiagonal T with diagonal alpha
+    (k entries) and off-diagonal beta[:k - 1], by LAPACK's dstev.  The
+    dense eigh (dsyevd) would wake threaded BLAS from k = 32; dstev's
+    wrapper wants max(k - 1, 1) off-diagonal entries, and the one it gets
+    at k = 1 is not read."""
+    k = len(alpha)
+    evals, evecs, info = dstev(alpha, beta[:max(k - 1, 1)])
+    if info:
+        raise ManyBodyError(f"tridiagonal eigensolver failed at k = {k} "
+                            f"(info {info})")
+    return evecs @ (np.exp(-1j * dt * evals) * evecs[0])
 
 
 def lanczos_expm_apply(H, v: np.ndarray, dt: float,
@@ -347,24 +371,23 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float,
     beta0 = np.sqrt(_re_dot(u, u))
     if beta0 == 0:
         return v
-    T = np.zeros((kdim + 1, kdim + 1))
+    alpha, beta = np.zeros(kdim), np.zeros(kdim)
     U = [u / beta0]
     for j in range(kdim):
-        k = j + 1
         w = H @ U[j]
-        T[j, j] = _re_dot(U[j], w)
-        w -= T[j, j] * U[j]
+        alpha[j] = _re_dot(U[j], w)
+        w -= alpha[j] * U[j]
         if j:
-            w -= T[j, j - 1] * U[j - 1]
-        T[j, k] = T[k, j] = np.sqrt(_re_dot(w, w))
-        evals, evecs = np.linalg.eigh(T[:k, :k])
-        coef = evecs @ (np.exp(-1j * dt * evals) * evecs[0])
-        err = T[k, j] * abs(coef[-1])
+            w -= beta[j - 1] * U[j - 1]
+        beta[j] = np.sqrt(_re_dot(w, w))
+        coef = _expm_e1(alpha[:j + 1], beta, dt)
+        err = beta[j] * abs(coef[-1])
         if not np.isfinite(err):
-            raise ManyBodyError(f"non-finite Krylov error estimate at k = {k}")
+            raise ManyBodyError(f"non-finite Krylov error estimate at "
+                                f"k = {j + 1}")
         if err <= 1e-12:
             return beta0 * sum(c * u for c, u in zip(coef, U))
-        U.append(w / T[k, j])
+        U.append(w / beta[j])
     half = lanczos_expm_apply(H, v, dt / 2, kdim)
     return lanczos_expm_apply(H, half, dt / 2, kdim)
 
@@ -381,8 +404,8 @@ def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
     stored times stay multiples of dt.  psi0 is normalized, the steps are
     not: the stored norms show the propagator's own drift.
     """
-    psi = np.asarray(psi0, dtype=complex)
-    psi = psi / np.linalg.norm(psi)
+    psi = np.ascontiguousarray(psi0, dtype=complex)
+    psi = psi / np.sqrt(_re_dot(psi, psi))
     time_dep = callable(H)
     n_steps, dt = _steps(T, dt)
     if store_every is None:
@@ -463,8 +486,7 @@ def trace_distance(gamma: np.ndarray, rho: np.ndarray) -> float:
 
 
 def mode_occupations(basis: FockBasis, psi: np.ndarray) -> np.ndarray:
-    p = np.abs(psi) ** 2
-    return p @ basis.occupations.astype(float)
+    return np.einsum("i,ij->j", np.abs(psi) ** 2, basis.occupations)
 
 
 def excitation_probability(basis: FockBasis, psi: np.ndarray,
@@ -477,7 +499,8 @@ def excitation_probability(basis: FockBasis, psi: np.ndarray,
 
 def energy_per_particle(basis: FockBasis, psi: np.ndarray, H) -> float:
     """<psi, H psi>/N for the assembled (already renormalized) Hamiltonian."""
-    return float(np.vdot(psi, H @ psi).real / basis.N)
+    psi = np.ascontiguousarray(psi, dtype=complex)
+    return _re_dot(psi, H @ psi) / basis.N
 
 
 def g_function(e0: float, t: float, vdot_sup: Callable = None) -> float:

@@ -283,9 +283,29 @@ def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     fshape = [_next_5_smooth(n) for n in shape]
     spec = (np.fft.rfftn(a, fshape, axes=(0, 1))
             * np.fft.rfftn(b, fshape, axes=(0, 1)))
+    return _from_spectrum(spec, shape, fshape)
+
+
+def _from_spectrum(spec: np.ndarray, shape, fshape) -> np.ndarray:
+    """The inverse half of ``_full_convolve``: the unnormalised irfftn of
+    spec on the padded shape fshape, times 1/(f1 f2), cut to shape."""
     out = (np.fft.irfftn(spec, fshape, axes=(0, 1), norm="forward")
            * (1.0 / (fshape[0] * fshape[1])))
     return out[tuple(slice(n) for n in shape)]
+
+
+def _lag_correlations(prods, h: float):
+    """Yield (p, q, h^2 ``_full_convolve(prods[p], prods[q][::-1, ::-1])``)
+    for every pair of the P equal-shape real 2D arrays prods, bit for bit,
+    with each array's spectrum and that of its reversed copy computed once:
+    2 P + P^2 FFTs, not 3 P^2."""
+    shape = [2 * n - 1 for n in prods[0].shape]
+    fshape = [_next_5_smooth(n) for n in shape]
+    spec = [np.fft.rfftn(A, fshape, axes=(0, 1)) for A in prods]
+    for q, B in enumerate(prods):
+        rev = np.fft.rfftn(B[::-1, ::-1], fshape, axes=(0, 1))
+        for p, S in enumerate(spec):
+            yield p, q, _from_spectrum(S * rev, shape, fshape) * h**2
 
 
 def _lag_weights(lag: np.ndarray, y: np.ndarray):
@@ -347,10 +367,8 @@ def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
             pair[a, dd] = pair[dd, a] = len(prods)
             prods.append(chi[a] * chi[dd])
     Q = np.empty((len(prods), len(prods), fy.size**2))
-    for p, A in enumerate(prods):
-        for q, B in enumerate(prods):
-            corr = _full_convolve(A, B[::-1, ::-1]) * h**2
-            Q[p, q] = _bilinear(corr, lag1, lag2, fy).ravel()
+    for p, q, corr in _lag_correlations(prods, h):
+        Q[p, q] = _bilinear(corr, lag1, lag2, fy).ravel()
 
     x = np.asarray(x, dtype=float)
     s = (x[:, None]**2 + eps**2 * (FY1**2 + FY2**2).ravel()) / mu**2

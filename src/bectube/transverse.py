@@ -311,8 +311,10 @@ def dirichlet_modes(cs: CrossSection, m: int = 1) -> TransverseModes:
     h = cs.h
     chi = np.zeros((m,) + cs.mask.shape)
     for j in range(m):
-        v = vecs[:, j] / (h * np.linalg.norm(vecs[:, j]))
-        chi[j][cs.mask] = v
+        # a pairwise sum, not np.linalg.norm: on more than 10000 entries
+        # that is a threaded ddot
+        sq = vecs[:, j] * vecs[:, j]
+        chi[j][cs.mask] = vecs[:, j] / (h * np.sqrt(np.add.reduce(sq)))
     # sign convention: ground state positive in the interior
     for j in range(m):
         if chi[j][cs.mask].sum() < 0:

@@ -18,6 +18,24 @@ def outdir(tmp_path, monkeypatch):
     return tmp_path
 
 
+def _python(code: str, **env) -> list:
+    """The stdout lines of code run by a fresh interpreter that imports this
+    checkout's bectube, with the environment variables env set on top of
+    the inherited ones."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout.splitlines()
+
+
+def _blas_threads(n: int) -> dict:
+    """The thread-count variables of OpenBLAS, OpenMP and MKL, all n."""
+    return dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS"), str(n))
+
+
 def small_modes_config(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"cross_section": {"n": 31, "m": 2}}))
@@ -209,13 +227,8 @@ class TestImports:
             "scipy.optimize", "scipy.spatial")
 
     def _loaded_after(self, code):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         code += f"\nprint(*sorted(m for m in {self.SLOW!r} if m in sys.modules))"
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        return out.stdout.splitlines()[-1].split()
+        return _python(code)[-1].split()
 
     def test_start_up_leaves_slow_scipy_subpackages_unloaded(self):
         assert self._loaded_after("import sys, bectube, bectube.cli") == []
@@ -236,6 +249,55 @@ class TestImports:
             *(f"assert cli.main([{c!r}, '--config', {str(cfg)!r}, "
               f"'--out', {out!r}]) == 0" for c in ("coeffs", "evolve"))])
         assert self._loaded_after(code) == []
+
+
+class TestBlasThreads:
+    """The Fock-space path calls no threaded BLAS, so a second OpenBLAS
+    thread stays asleep and the results do not depend on the thread
+    count."""
+
+    def test_manybody_leaves_the_second_thread_asleep(self, tmp_path):
+        if not Path("/proc/self/task").is_dir():
+            pytest.skip("no /proc/self/task to read thread CPU times from")
+        # others(): CPU seconds of every thread but the main one; a woken
+        # OpenBLAS worker spins about 0.13 s after its last job, so the
+        # count ends 0.4 s after the run
+        code = "\n".join([
+            "import os, threading, time",
+            "import bectube.cli as cli",
+            "def others():",
+            "    main, ticks = threading.get_native_id(), 0",
+            "    for t in os.listdir('/proc/self/task'):",
+            "        if int(t) != main:",
+            "            with open(f'/proc/self/task/{t}/stat') as fh:",
+            "                f = fh.read().rsplit(')', 1)[1].split()",
+            "            ticks += int(f[11]) + int(f[12])",
+            "    return ticks / os.sysconf('SC_CLK_TCK')",
+            "time.sleep(0.4)", "before = others()",
+            f"assert cli.main(['manybody', '--out', {str(tmp_path)!r}]) == 0",
+            "time.sleep(0.4)",
+            "print(len(os.listdir('/proc/self/task')), others() - before)"])
+        threads, cpu = _python(code, **_blas_threads(2))[-1].split()
+        if int(threads) == 1:
+            pytest.skip("the BLAS libraries started no second thread")
+        assert float(cpu) <= 0.02
+
+    def test_scalars_do_not_depend_on_the_thread_count(self, tmp_path):
+        # converge's N = 6 point has Fock dimension 54264, above every
+        # BLAS threading threshold
+        assert cli.load_config(None)["converge"]["N_list"][-1] == 6
+        scalars = []
+        for n in (1, 2):
+            out = tmp_path / f"threads{n}"
+            _python("\n".join(
+                ["import bectube.cli as cli"]
+                + [f"assert cli.main([{c!r}, '--out', {str(out)!r}]) == 0"
+                   for c in ("manybody", "converge")]), **_blas_threads(n))
+            scalars.append({d.name.split("-")[0]:
+                            (d / "scalars.json").read_bytes()
+                            for d in out.iterdir()})
+        assert sorted(scalars[0]) == ["converge", "manybody"]
+        assert scalars[0] == scalars[1]
 
 
 class TestRunSetup:

@@ -438,6 +438,41 @@ class TestPropagation:
         assert 2 < H.matvecs < 40
         assert np.linalg.norm(out - ref) < 1e-12
 
+    @pytest.mark.parametrize("k", [1, 2, 31, 32, 40, 120])
+    def test_tridiagonal_exponential_matches_dense(self, k):
+        # the Lanczos loop passes all kdim off-diagonal entries; only the
+        # first k - 1 belong to T_k
+        rng = np.random.default_rng(k)
+        alpha = rng.uniform(-5.0, 5.0, k)
+        beta = rng.uniform(0.5, 3.0, k)
+        T = np.diag(alpha) + np.diag(beta[:k - 1], 1) \
+            + np.diag(beta[:k - 1], -1)
+        evals, evecs = np.linalg.eigh(T)
+        dense = evecs @ (np.exp(-0.3j * evals) * evecs[0])
+        assert np.max(np.abs(mb._expm_e1(alpha, beta, 0.3) - dense)) <= 1e-14
+
+    def test_default_config_krylov_dimensions(self, monkeypatch):
+        # the default `manybody` propagation: 10 Lanczos calls, 290 matvecs
+        cfg = cli.load_config(None)
+        N, eps, T = cfg["scaling"]["N"], cfg["scaling"]["eps"], \
+            cfg["solver"]["T"]
+        spb, offsets, K, h, phi0 = cli._lattice(cfg, N, eps,
+                                                cli.build_modes(cfg))
+        basis = mb.build_basis(spb.d, N)
+        H = _CountingMatrix(mb.build_hamiltonian(basis, h, offsets, K,
+                                                 G_x=spb.G_x, m=spb.m))
+        calls = []
+        apply = mb.lanczos_expm_apply
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return apply(*args, **kwargs)
+
+        monkeypatch.setattr(mb, "lanczos_expm_apply", counting)
+        mb.evolve_state(basis, H, mb.condensate_state(basis, phi0), T=T,
+                        dt=T / 10, store_every=1)
+        assert len(calls) == 10 and H.matvecs == 290
+
     def test_one_recurrence_past_default_kdim(self, criterion9_system):
         # a random start at dt = 2 needs some 80 vectors: they lose
         # orthogonality, which the plain recurrence does not restore, and

@@ -187,6 +187,38 @@ class TestFullConvolve:
         assert all(sc._next_5_smooth(n) == next_fast_len(n, True)
                    for n in range(1, 1200))
 
+    @pytest.mark.parametrize("a, b, n", [(np.pi, np.pi, 127),
+                                         (2 * np.pi, np.pi, 63)])
+    def test_pair_kernel_transforms_each_product_once(self, a, b, n,
+                                                      monkeypatch):
+        # the default config's square and a rectangle, both at m = 2: three
+        # products chi_a chi_d, so 2 * 3 + 3^2 = 15 transforms, not 27, and
+        # K bit for bit as from one _full_convolve per pair
+        modes = tv.dirichlet_modes(tv.rectangle(a, b, n=n), m=2)
+        spt = sc.scaling_params(4, 0.25, 0.25)
+        args = (modes.chi, modes.cs.h, sc.bump_potential(), spt.eps, spt.mu,
+                0.5 * np.arange(-2, 3))
+        calls = []
+
+        def counted(fft):
+            def call(*a, **k):
+                calls.append(fft)
+                return fft(*a, **k)
+            return call
+
+        for name in ("rfftn", "irfftn"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        K = sc.pair_kernel(*args)
+        assert len(calls) == 15
+
+        def per_pair(prods, h):
+            for p, A in enumerate(prods):
+                for q, B in enumerate(prods):
+                    yield p, q, sc._full_convolve(A, B[::-1, ::-1]) * h**2
+
+        monkeypatch.setattr(sc, "_lag_correlations", per_pair)
+        assert np.array_equal(sc.pair_kernel(*args), K)
+
 
 class TestLagLookup:
     @pytest.mark.parametrize("a, b", [(np.pi, np.pi), (2 * np.pi, np.pi)])
