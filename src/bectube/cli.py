@@ -134,6 +134,12 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"unknown shape {cfg['cross_section']['shape']!r}")
     if cfg["scaling"]["regime"] not in ("moderate", "strong"):
         raise ConfigError("scaling.regime must be moderate or strong")
+    Ns = cfg["converge"]["N_list"]
+    if not (isinstance(Ns, list) and len(Ns) >= 2
+            and all(type(N) is int and N >= 2 for N in Ns)
+            and all(a < b for a, b in zip(Ns, Ns[1:]))):
+        raise ConfigError("converge.N_list must hold at least two strictly "
+                          "increasing integers, each at least 2")
     return cfg
 
 
@@ -408,7 +414,9 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
 
     xi = cfg["scaling"]["xi"]
     mweight = condensation.weight_m(N, xi)
-    e0 = manybody.energy_per_particle(basis, psi0, H)
+    # the paper's g(t)^2 = 1 + |E(0)| + int_0^t sup_x |dV/dt(s)| ds, constant
+    # on the static lattice
+    g = float(np.sqrt(1.0 + abs(manybody.energy_per_particle(basis, psi0, H))))
     rows = []
     for (tpsi, psi), (ref, e_phi) in zip(frames, refs):
         pk = condensation.sector_weights(basis, ref, psi)
@@ -422,7 +430,7 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
             "alpha_xi": condensation.alpha_xi_value(a_m, e_psi, e_phi),
             "trace_dist": tdist, "e_psi": e_psi, "e_phi": e_phi,
             "excitation": manybody.excitation_probability(basis, psi, spb),
-            "g": manybody.g_function(e0, tpsi),
+            "g": g,
         })
     return rows
 

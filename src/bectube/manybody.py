@@ -54,10 +54,6 @@ class SingleParticleBasis:
     def d(self) -> int:
         return self.G_x * self.m
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.dx * np.arange(self.G_x)
-
     def mode(self, i: int):
         return divmod(i, self.m)
 
@@ -218,18 +214,12 @@ def mode_kernel(modes: TransverseModes, w: PairPotential, spt: ScalingPoint,
 # Hamiltonian assembly
 
 
-def one_body_matrix(spb: SingleParticleBasis, v_static: np.ndarray = None,
-                    v_ext: Callable = None, t: float = 0.0) -> np.ndarray:
-    """One-particle Hamiltonian on the lattice: 3-point periodic Laplacian in
-    x, static potential, external potential V(t, x, 0), and the renormalized
-    transverse offsets (E_j - E_0)/eps^2."""
-    diag_x = np.full(spb.G_x, 2.0 / spb.dx**2)
-    if v_static is not None:
-        diag_x = diag_x + np.asarray(v_static, dtype=float)
-    if v_ext is not None:
-        diag_x = diag_x + np.asarray(v_ext(t, spb.x), dtype=float)
-    h = np.diag(np.repeat(diag_x, spb.m)
-                + np.tile(spb.transverse_offsets(), spb.G_x))
+def one_body_matrix(spb: SingleParticleBasis) -> np.ndarray:
+    """One-particle Hamiltonian on the static lattice: 3-point periodic
+    Laplacian in x plus the renormalized transverse offsets
+    (E_j - E_0)/eps^2.  The paper's external potential V(t, x) acts on the
+    effective 1D model (``nls.Potential1D``), not here."""
+    h = np.diag(2.0 / spb.dx**2 + np.tile(spb.transverse_offsets(), spb.G_x))
     # neighbouring sites (g +- 1) mod G_x are modes i +- m mod d
     i = np.arange(spb.d)
     for shift in (spb.m, -spb.m):
@@ -394,9 +384,9 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float,
 
 def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
                  dt: float, store_every: int = None) -> list:
-    """Propagate under a static H (matrix) or H(t) (callable, sampled at the
-    step midpoint) over T in steps of the required dt, shortened to
-    T / ceil(T / dt); returns a list of (t, psi) pairs.
+    """Propagate under the static Hamiltonian H over T in steps of the
+    required dt, shortened to T / ceil(T / dt); returns a list of (t, psi)
+    pairs.
 
     Each step of dt is one ``lanczos_expm_apply`` call with tolerance 1e-12
     relative to the state's norm and at most 40 Krylov vectors; a step that
@@ -406,14 +396,12 @@ def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
     """
     psi = np.ascontiguousarray(psi0, dtype=complex)
     psi = psi / np.sqrt(_re_dot(psi, psi))
-    time_dep = callable(H)
     n_steps, dt = _steps(T, dt)
     if store_every is None:
         store_every = n_steps
     out = [(0.0, psi.copy())]
     for step in range(n_steps):
-        Hmat = H((step + 0.5) * dt) if time_dep else H
-        psi = lanczos_expm_apply(Hmat, psi, dt)
+        psi = lanczos_expm_apply(H, psi, dt)
         if not np.isfinite(_re_dot(psi, psi)):
             raise ManyBodyError(f"propagation failed at step {step}")
         if (step + 1) % store_every == 0 or step == n_steps - 1:
@@ -503,16 +491,6 @@ def energy_per_particle(basis: FockBasis, psi: np.ndarray, H) -> float:
     return _re_dot(psi, H @ psi) / basis.N
 
 
-def g_function(e0: float, t: float, vdot_sup: Callable = None) -> float:
-    """g(t) with g(t)^2 = 1 + |E(0)| + int_0^t sup_x |dV/dt(s)| ds, the
-    integral by the trapezoid rule on 64 points."""
-    g2 = 1.0 + abs(e0)
-    if vdot_sup is not None and t > 0:
-        s = np.linspace(0.0, t, 64)
-        g2 += float(np.trapezoid([vdot_sup(si) for si in s], s))
-    return float(np.sqrt(g2))
-
-
 # ---------------------------------------------------------------------------
 # lattice mean-field reference dynamics
 
@@ -534,25 +512,17 @@ def _mean_field(h_one, offsets, K, G_x: int, m: int, N: int,
 
 
 def hartree_evolve(h_one, offsets, K, G_x: int, m: int, N: int,
-                   phi0: np.ndarray, T: float, dt: float = 1e-3,
-                   v_ext: Callable = None, x: np.ndarray = None):
+                   phi0: np.ndarray, T: float, dt: float = 1e-3):
     """Mean-field (Hartree) evolution of a one-body vector under the same
     lattice and kernel as the many-body model.
 
-    i dphi/dt = H_mf(phi) phi (see ``_mean_field``) plus V(t, x) phi,
-    integrated by RK4.  Returns a list of (t, phi) frames at every step.
+    i dphi/dt = H_mf(phi) phi (see ``_mean_field``), integrated by RK4.
+    Returns a list of (t, phi) frames at every step.
     """
     h_mf = _mean_field(h_one, offsets, K, G_x, m, N, len(phi0))
     phi = np.asarray(phi0, dtype=complex)
     phi = phi / np.linalg.norm(phi)
-
-    def rhs(t, v):
-        hv = h_mf(v)
-        if v_ext is not None:
-            hv = hv + np.repeat(v_ext(t, x), m) * v
-        return -1j * hv
-
-    return _rk4(rhs, phi, *_steps(T, dt))
+    return _rk4(lambda t, v: -1j * h_mf(v), phi, *_steps(T, dt))
 
 
 def _rk4(rhs: Callable, phi: np.ndarray, n_steps: int, dt: float) -> list:

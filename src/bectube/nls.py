@@ -181,6 +181,9 @@ def evolve(w0: Wave1D, pot: Potential1D, b: float, dt: float, T: float,
         raise NLSError("focusing nonlinearity (b < 0) is not supported")
     if T <= 0:
         raise NLSError(f"T = {T:g} must be positive")
+    if not dt > 0 or store_every < 1:
+        raise NLSError(f"need dt > 0 and store_every >= 1, got dt = {dt:g} "
+                       f"and store_every = {store_every}")
     if dt > w0.dx**2 / np.pi:
         raise NLSError(f"dt = {dt:g} exceeds the stability margin "
                        f"dx^2/pi = {w0.dx**2 / np.pi:g}")

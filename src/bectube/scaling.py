@@ -272,33 +272,21 @@ def _next_5_smooth(n: int) -> int:
         n += 1
 
 
-def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real 2D arrays by FFT with the
-    arithmetic of ``scipy.signal.fftconvolve``: both inputs padded to the
-    5-smooth length of the full shape, multiplied as rfftn, back by an
-    unnormalised irfftn times one factor 1/(f1 f2), and cut to the full
-    shape.  numpy's default irfftn scales once per axis, which rounds
-    differently."""
-    shape = [n + k - 1 for n, k in zip(a.shape, b.shape)]
-    fshape = [_next_5_smooth(n) for n in shape]
-    spec = (np.fft.rfftn(a, fshape, axes=(0, 1))
-            * np.fft.rfftn(b, fshape, axes=(0, 1)))
-    return _from_spectrum(spec, shape, fshape)
-
-
 def _from_spectrum(spec: np.ndarray, shape, fshape) -> np.ndarray:
-    """The inverse half of ``_full_convolve``: the unnormalised irfftn of
-    spec on the padded shape fshape, times 1/(f1 f2), cut to shape."""
+    """The inverse half of a full convolution with the arithmetic of
+    ``scipy.signal.fftconvolve``: the unnormalised irfftn of spec on the
+    5-smooth padded shape fshape, times one factor 1/(f1 f2) (numpy's default
+    scales once per axis, which rounds differently), cut to shape."""
     out = (np.fft.irfftn(spec, fshape, axes=(0, 1), norm="forward")
            * (1.0 / (fshape[0] * fshape[1])))
     return out[tuple(slice(n) for n in shape)]
 
 
 def _lag_correlations(prods, h: float):
-    """Yield (p, q, h^2 ``_full_convolve(prods[p], prods[q][::-1, ::-1])``)
-    for every pair of the P equal-shape real 2D arrays prods, bit for bit,
-    with each array's spectrum and that of its reversed copy computed once:
-    2 P + P^2 FFTs, not 3 P^2."""
+    """Yield (p, q, h^2 ``fftconvolve(prods[p], prods[q][::-1, ::-1])``)
+    for every pair of the P equal-shape real 2D arrays prods, bit for bit
+    with ``scipy.signal.fftconvolve``, with each array's spectrum and that
+    of its reversed copy computed once: 2 P + P^2 FFTs, not 3 P^2."""
     shape = [2 * n - 1 for n in prods[0].shape]
     fshape = [_next_5_smooth(n) for n in shape]
     spec = [np.fft.rfftn(A, fshape, axes=(0, 1)) for A in prods]

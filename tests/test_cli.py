@@ -73,6 +73,15 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match=msg):
             cli.load_config(p)
 
+    @pytest.mark.parametrize("N_list", [[], [0, 2], [4], [4, 3], [2, 2]])
+    def test_converge_N_list_validated(self, outdir, tmp_path, N_list):
+        # on a bad list the sweep crashed, or fit a slope to one point, or
+        # called a falling depletion not monotone
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"converge": {"N_list": N_list}}))
+        assert cli.main(["converge", "--config", str(p)]) == 1
+        assert not list(tmp_path.rglob("scalars.json"))
+
     def test_ini_equivalent_to_json(self, tmp_path):
         j = tmp_path / "c.json"
         j.write_text('{"scaling": {"N": 6, "eps": 0.5}}')
@@ -190,6 +199,23 @@ class TestMain:
             record = json.loads((run_dir / "record.json").read_text())
             assert run_dir.name == f"{record['subcommand']}-{record['digest']}"
             assert (run_dir / "scalars.json").is_file()
+
+    def test_negative_step_is_numerical_failure(self, outdir, tmp_path):
+        # a run that never steps must not report zero drifts
+        p = tmp_path / "c.json"
+        p.write_text('{"solver": {"dt": -0.001}}')
+        assert cli.main(["evolve", "--config", str(p)]) == 2
+        assert not list(tmp_path.rglob("scalars.json"))
+
+    def test_manybody_g_is_constant(self, outdir):
+        # on the static lattice g(t) = sqrt(1 + |E(0)|) at every stored time
+        assert cli.main(["manybody"]) == 0
+        (run_dir,) = (outdir / "runs").iterdir()
+        path = run_dir / "series" / "trajectory.csv"
+        rows = np.genfromtxt(path, delimiter=",", names=True)
+        assert len(rows) == 11
+        g0 = np.sqrt(1.0 + abs(rows["e_psi"][0]))
+        assert np.all(np.abs(rows["g"] - g0) <= 1e-14)
 
     def test_unknown_subcommand_rejected(self):
         with pytest.raises(SystemExit):

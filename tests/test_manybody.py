@@ -209,14 +209,12 @@ class TestOneBody:
     def test_matches_site_loop(self, G_x, m):
         spb = mb.SingleParticleBasis(G_x=G_x, dx=0.4, eps=0.5,
                                      transverse_energies=np.arange(2.0, 2 + m))
-        v_static = np.linspace(0.0, 1.0, G_x)
-        h = mb.one_body_matrix(spb, v_static, lambda t, x: np.sin(x + t), 0.3)
+        h = mb.one_body_matrix(spb)
         ref = np.zeros((spb.d, spb.d))
         offs = spb.transverse_offsets()
         for g, j in product(range(G_x), range(m)):
             i = g * m + j
-            ref[i, i] = (2.0 / 0.4**2 + v_static[g] + np.sin(0.4 * g + 0.3)
-                         + offs[j])
+            ref[i, i] = 2.0 / 0.4**2 + offs[j]
             for g2 in ((g + 1) % G_x, (g - 1) % G_x):
                 ref[i, g2 * m + j] = -1.0 / 0.4**2
         assert np.array_equal(h, ref)
@@ -402,14 +400,6 @@ class TestPropagation:
         assert max(abs(v - e[0]) for v in e) < 1e-9
         assert all(np.isclose(np.linalg.norm(p), 1.0) for _, p in frames)
 
-    def test_time_dependent_hamiltonian(self, small_system):
-        s = small_system
-        psi0 = mb.condensate_state(s["basis"], s["phi0"])
-        frames = mb.evolve_state(s["basis"], lambda t: s["H"] * (1.0 + 0 * t),
-                                 psi0, T=0.1, dt=0.01)
-        static = mb.evolve_state(s["basis"], s["H"], psi0, T=0.1, dt=0.01)
-        assert np.linalg.norm(frames[-1][1] - static[-1][1]) < 1e-10
-
     @pytest.mark.parametrize("dt", [2.0, 4.0])
     def test_large_step_split_into_half_steps(self, criterion9_system,
                                               monkeypatch, dt):
@@ -577,11 +567,6 @@ class TestObservables:
         psi = mb.condensate_state(s["basis"], phi)
         assert mb.excitation_probability(s["basis"], psi, s["spb"]) < 1e-14
 
-    def test_g_function(self):
-        assert np.isclose(mb.g_function(-3.0, 0.0), 2.0)
-        g = mb.g_function(0.0, 2.0, vdot_sup=lambda s: 1.5)
-        assert np.isclose(g, 2.0)  # sqrt(1 + 3)
-
 
 class TestHartree:
     def test_norm_conserved(self, small_system):
@@ -623,18 +608,6 @@ class TestHartree:
                                                  3, 2, N, phi)
         assert abs(lam - np.vdot(phi, 1j * rhs).real) < 1e-12
         assert abs(residual - np.linalg.norm(1j * rhs - lam * phi)) < 1e-12
-
-    def test_external_potential_enters_per_site(self, small_system):
-        # V(t, x) at site g acts on both transverse modes of that site, like
-        # adding it to the one-body matrix
-        s = small_system
-        x = s["spb"].x
-        args = (s["offsets"], s["K"], 6, 2, 3, s["phi0"])
-        moved = mb.hartree_evolve(s["h"], *args, T=0.1, dt=1e-3, x=x,
-                                  v_ext=lambda t, x: np.cos(x))[-1][1]
-        ref = mb.hartree_evolve(s["h"] + np.diag(np.repeat(np.cos(x), 2)),
-                                *args, T=0.1, dt=1e-3)[-1][1]
-        assert np.abs(moved - ref).max() < 1e-12
 
     def test_matches_manybody_for_large_N_weak_coupling(self, small_system):
         # with the interaction switched off Hartree and one-body dynamics agree

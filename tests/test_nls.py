@@ -119,9 +119,14 @@ class TestEvolveInterface:
         assert np.abs(traj[-1].values - exact).max() < 1e-10
 
     def test_nonpositive_time_rejected(self):
+        # a negative dt passes the stability test; dt = 0 and store_every = 0
+        # would divide by zero
         w0 = nls.gaussian(8.0, 256)
-        with pytest.raises(nls.NLSError, match="positive"):
-            nls.evolve(w0, nls.free_potential(), 0.0, dt=1e-3, T=0.0)
+        for dt, T, store_every in [(1e-3, 0.0, 1), (-1e-3, 0.1, 1),
+                                   (0.0, 0.1, 1), (1e-3, 0.1, 0)]:
+            with pytest.raises(nls.NLSError, match="positive|dt > 0"):
+                nls.evolve(w0, nls.free_potential(), 0.0, dt=dt, T=T,
+                           store_every=store_every)
 
     def test_store_every(self):
         w0 = nls.gaussian(8.0, 256)

@@ -172,16 +172,20 @@ class TestTaylorDecomposition:
 
 class TestFullConvolve:
     @pytest.mark.parametrize("s1, s2", [((7, 7), (7, 7)), ((8, 8), (8, 8)),
-                                        ((5, 9), (6, 4)), ((63, 63), (63, 63)),
+                                        ((5, 9), (5, 9)), ((63, 63), (63, 63)),
                                         ((127, 127), (127, 127)),
                                         ((127, 63), (127, 63))])
     def test_bitwise_equal_to_fftconvolve(self, s1, s2):
+        # every pair, with the reversed view pair_kernel passes for a
+        # correlation
         rng = np.random.default_rng(sum(s1) + sum(s2))
-        a, b = rng.standard_normal(s1), rng.standard_normal(s2)
-        assert np.array_equal(sc._full_convolve(a, b), fftconvolve(a, b))
-        # the reversed view pair_kernel passes for a correlation
-        assert np.array_equal(sc._full_convolve(a, b[::-1, ::-1]),
-                              fftconvolve(a, b[::-1, ::-1]))
+        prods, h = [rng.standard_normal(s1), rng.standard_normal(s2)], 0.1
+        pairs = list(sc._lag_correlations(prods, h))
+        assert sorted((p, q) for p, q, _ in pairs) == [(0, 0), (0, 1),
+                                                       (1, 0), (1, 1)]
+        for p, q, corr in pairs:
+            assert np.array_equal(
+                corr, fftconvolve(prods[p], prods[q][::-1, ::-1]) * h**2)
 
     def test_padded_length_is_scipys_real_fast_length(self):
         assert all(sc._next_5_smooth(n) == next_fast_len(n, True)
@@ -193,7 +197,7 @@ class TestFullConvolve:
                                                       monkeypatch):
         # the default config's square and a rectangle, both at m = 2: three
         # products chi_a chi_d, so 2 * 3 + 3^2 = 15 transforms, not 27, and
-        # K bit for bit as from one _full_convolve per pair
+        # K bit for bit as from one fftconvolve per pair
         modes = tv.dirichlet_modes(tv.rectangle(a, b, n=n), m=2)
         spt = sc.scaling_params(4, 0.25, 0.25)
         args = (modes.chi, modes.cs.h, sc.bump_potential(), spt.eps, spt.mu,
@@ -214,7 +218,7 @@ class TestFullConvolve:
         def per_pair(prods, h):
             for p, A in enumerate(prods):
                 for q, B in enumerate(prods):
-                    yield p, q, sc._full_convolve(A, B[::-1, ::-1]) * h**2
+                    yield p, q, fftconvolve(A, B[::-1, ::-1]) * h**2
 
         monkeypatch.setattr(sc, "_lag_correlations", per_pair)
         assert np.array_equal(sc.pair_kernel(*args), K)
@@ -227,7 +231,7 @@ class TestLagLookup:
         chi, h = modes.chi, modes.cs.h
         lag1, lag2 = (h * np.arange(-(n - 1), n) for n in chi.shape[1:])
         A, B = chi[0] * chi[1], chi[1] ** 2
-        corr = sc._full_convolve(A, B[::-1, ::-1]) * h**2
+        corr = fftconvolve(A, B[::-1, ::-1]) * h**2
         # pair_kernel's 17 points over the first axis's whole lag range, the
         # ends of both ranges exactly, and points just beyond them
         end1, end2 = lag1[-1], lag2[-1]
