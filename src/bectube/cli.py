@@ -134,6 +134,17 @@ def _validate(cfg: dict) -> dict:
         raise ConfigError(f"unknown shape {cfg['cross_section']['shape']!r}")
     if cfg["scaling"]["regime"] not in ("moderate", "strong"):
         raise ConfigError("scaling.regime must be moderate or strong")
+    sv = cfg["solver"]
+    # a dx <= 0 would empty the kernel's offsets and drop the interaction
+    for key in ("dx", "T"):
+        if not (type(sv[key]) in (int, float) and 0.0 < sv[key] < np.inf):
+            raise ConfigError(f"solver.{key} must be a positive number")
+    # one_body_matrix's two bonds of a site coincide below 3 sites
+    if not (type(sv["G_x"]) is int and sv["G_x"] >= 3):
+        raise ConfigError("solver.G_x must be an integer, at least 3")
+    m = cfg["cross_section"]["m"]
+    if not (type(m) is int and m >= 1):
+        raise ConfigError("cross_section.m must be an integer, at least 1")
     Ns = cfg["converge"]["N_list"]
     if not (isinstance(Ns, list) and len(Ns) >= 2
             and all(type(N) is int and N >= 2 for N in Ns)

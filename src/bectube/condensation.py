@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .manybody import FockBasis, _re_dot, _rk4, _steps, lower
+from .manybody import FockBasis, _re_dot, _rk4, _steps
 
 
 class CondensationError(ValueError):
@@ -235,11 +235,16 @@ def sector_weights(basis: FockBasis, ref: CondensateRef,
     if ref.d != basis.d:
         raise CondensationError("reference dimension does not match the basis")
     N = basis.N
+    phic = ref.phi.conj()
     v = np.ascontiguousarray(psi, dtype=complex)
     moments = [_re_dot(v, v)]
     for j in range(1, N + 1):
-        basis, out = lower(basis, v)
-        v = np.einsum("i,ij->j", ref.phi.conj(), out)
+        # a(phi) v in one scatter from the cached lowering map, with no
+        # (d, dim) array of the lowered states a_i v
+        modes, tgt, src, amp = basis.lowering
+        w = np.zeros(basis.minus.dim, dtype=complex)
+        np.add.at(w, tgt, phic[modes] * (amp * v[src]))
+        basis, v = basis.minus, w
         moments.append(_re_dot(v, v) / factorial(j))
     n = np.arange(N + 1)
     binom = np.array([[comb(j, k) for j in n] for k in n], dtype=float)

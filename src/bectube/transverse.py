@@ -4,7 +4,9 @@ Solves -Lap + Vperp on a bounded 2D region with a 5-point finite-difference
 discretization (Dirichlet boundary by mask exclusion) and computes the scalar
 quantities the effective 1D equation needs: ground-state energy, spectral
 gap, the quartic integral of the ground mode, the angular-momentum norm, and
-the mode-overlap tensor.
+the mode-overlap tensor.  The lowest modes are a closed form on a full
+rectangle with constant Vperp and come from shift-invert Arnoldi on one
+sparse LU otherwise; for up to 14 modes neither calls threaded BLAS.
 """
 
 from __future__ import annotations
@@ -15,7 +17,10 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import LinearOperator, eigs, splu
+from scipy.sparse.linalg import splu
+
+# Arnoldi steps allowed beyond 4 per wanted eigenpair (``_arnoldi``)
+_ARNOLDI_STEPS = 40
 
 
 class CrossSectionError(ValueError):
@@ -247,26 +252,25 @@ def _product_modes(cs: CrossSection, k: int):
 
 
 def _shift_invert_modes(cs: CrossSection, k: int):
-    """The k lowest eigenpairs, in ascending order, by shift-invert ARPACK
-    (tolerance 1e-9) at sigma = min Vperp - 1, from a fixed start vector.
+    """The k lowest eigenpairs, in ascending order, by shift-invert Arnoldi
+    at sigma = min Vperp - 1.
 
     In every row of the 5-point or Shortley-Weller stencil the off-diagonal
     magnitudes sum to at most the Laplacian part of the diagonal, so each
     row of A - sigma I is strictly diagonally dominant, by
     Vperp - min Vperp + 1 >= 1.  The LU therefore needs no pivoting and
     keeps the minimum-degree ordering of the symmetric pattern, about half
-    the fill of the default column ordering.  ``eigs`` serves the symmetric
-    stencil of a mask and the mildly nonsymmetric, real-spectrum one of a
-    curved shape alike.
+    the fill of the default column ordering.  ``_arnoldi`` serves the
+    symmetric stencil of a mask and the mildly nonsymmetric, real-spectrum
+    one of a curved shape alike.
     """
     A = _laplacian(cs)
     sigma = float(cs.vperp.min()) - 1.0
     lu = splu((A - sigma * sp.eye(A.shape[0])).tocsc(),
               permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
               options={"SymmetricMode": True})
-    op = LinearOperator(A.shape, matvec=lu.solve, dtype=float)
-    vals, vecs = eigs(A, k=k, sigma=sigma, which="LM", v0=np.ones(A.shape[0]),
-                      tol=1e-9, OPinv=op)
+    theta, vecs = _arnoldi(lu.solve, A.shape[0], k)
+    vals = sigma + 1.0 / theta
     if np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals.real)):
         raise CrossSectionError("eigensolver returned complex eigenvalues")
     # strip the arbitrary complex phase of each eigenvector
@@ -276,14 +280,60 @@ def _shift_invert_modes(cs: CrossSection, k: int):
     return vals.real[order], vecs[:, order]
 
 
+def _arnoldi(op: Callable, n: int, k: int):
+    """The k eigenpairs of largest magnitude of the n x n operator ``op``,
+    by unrestarted Arnoldi (Saad 2011, Numerical Methods for Large
+    Eigenvalue Problems, ch. 4).
+
+    The start vector is fixed and has no symmetry, so no eigenspace of a
+    symmetric cross-section is orthogonal to it.  Each new vector is
+    orthogonalized by classical Gram-Schmidt done twice, with ``einsum``
+    and pairwise sums: on vectors of more than 10000 entries a BLAS
+    product would wake a second OpenBLAS thread.  After step j the Ritz
+    pairs (theta_i, s_i) of the j x j Hessenberg matrix H_j have the
+    residual h_(j+1,j) |s_(j,i)|; the solve stops when each of the k
+    wanted pairs has a residual of at most 1e-12 |theta_i|, and raises
+    ``CrossSectionError`` if _ARNOLDI_STEPS + 4k steps (or n - 1) do not
+    get there.  Up to k = 15 that cap keeps H_j at 100 rows or fewer, where
+    ``np.linalg.eig`` wakes no BLAS thread either.  Returns the Ritz values
+    and unit Ritz vectors, in columns.
+    """
+    steps = min(n - 1, _ARNOLDI_STEPS + 4 * k)
+    V = np.empty((steps + 1, n))
+    H = np.zeros((steps + 1, steps))
+    v = np.random.default_rng(0).standard_normal(n)
+    V[0] = v / np.sqrt(np.add.reduce(v * v))
+    for j in range(steps):
+        w = op(V[j])
+        for _ in range(2):
+            c = np.einsum("ij,j->i", V[:j + 1], w)
+            w -= np.einsum("i,ij->j", c, V[:j + 1])
+            H[:j + 1, j] += c
+        H[j + 1, j] = np.sqrt(np.add.reduce(w * w))
+        if j + 1 >= k:
+            theta, S = np.linalg.eig(H[:j + 1, :j + 1])
+            want = np.argsort(-np.abs(theta), kind="stable")[:k]
+            theta, S = theta[want], S[:, want]
+            if np.all(H[j + 1, j] * np.abs(S[j]) <= 1e-12 * np.abs(theta)):
+                return theta, np.einsum("ij,ik->jk", V[:j + 1], S)
+        if H[j + 1, j] == 0.0:
+            break
+        V[j + 1] = w / H[j + 1, j]
+    raise CrossSectionError(
+        f"shift-invert Arnoldi did not converge {k} eigenpairs in "
+        f"{j + 1} steps")
+
+
 def dirichlet_modes(cs: CrossSection, m: int = 1) -> TransverseModes:
     """Compute the m lowest eigenpairs.
 
     A full rectangle with constant Vperp (no levelset, every node inside)
     has a separable operator, and its modes are the sampled product sines
     of ``_product_modes``; no matrix is built.  Every other cross-section
-    (masks, a varying Vperp, curved shapes) goes to shift-invert ``eigs``
-    (tolerance 1e-9) on one fill-reducing LU (``_shift_invert_modes``).
+    (masks, a varying Vperp, curved shapes) goes to shift-invert Arnoldi
+    (relative Ritz residual 1e-12) on one fill-reducing LU
+    (``_shift_invert_modes``); for m <= 14 neither path calls threaded
+    BLAS.
     On a square, chi_1 is the (1, 2) product mode, even in y1 and odd in
     y2; its partner (2, 1) is equally low, so m = 2 still cuts the basis
     inside a degenerate pair.  The ground state must be simple and
@@ -295,7 +345,7 @@ def dirichlet_modes(cs: CrossSection, m: int = 1) -> TransverseModes:
     if cs.mask.sum() <= 100:
         raise CrossSectionError("grid too coarse: need > 100 interior nodes")
     if m + 3 > cs.mask.sum():
-        # m + 1 pairs are solved for; shift-invert eigs needs m + 1 < N - 1
+        # m + 1 pairs are solved for, in a Krylov space of dimension < N
         raise CrossSectionError("m must be <= interior node count - 3")
     if cs.levelset is None and cs.mask.all() and np.all(
             cs.vperp == cs.vperp[0, 0]):

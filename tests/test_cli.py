@@ -73,6 +73,26 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match=msg):
             cli.load_config(p)
 
+    @pytest.mark.parametrize("patch", [
+        {"solver": {"dx": -0.5}}, {"solver": {"dx": 0}},
+        {"solver": {"G_x": 0}}, {"solver": {"G_x": 2}},
+        {"solver": {"G_x": 4.0}}, {"solver": {"T": 0.0}},
+        {"solver": {"T": -1.0}}, {"cross_section": {"m": 0}},
+        {"cross_section": {"m": 1.5}},
+    ], ids=["dx_negative", "dx_zero", "G_x_zero", "G_x_two", "G_x_float",
+            "T_zero", "T_negative", "m_zero", "m_float"])
+    def test_out_of_range_is_config_error(self, outdir, tmp_path, patch):
+        # a negative dx silently dropped the interaction, G_x = 0 ended in
+        # a traceback, and G_x < 3 merged a site's two bonds into one entry
+        ((section, table),) = patch.items()
+        ((key, _),) = table.items()
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(patch))
+        with pytest.raises(cli.ConfigError, match=f"{section}.{key}"):
+            cli.load_config(p)
+        assert cli.main(["manybody", "--config", str(p)]) == 1
+        assert not list(tmp_path.rglob("scalars.json"))
+
     @pytest.mark.parametrize("N_list", [[], [0, 2], [4], [4, 3], [2, 2]])
     def test_converge_N_list_validated(self, outdir, tmp_path, N_list):
         # on a bad list the sweep crashed, or fit a slope to one point, or
@@ -277,17 +297,28 @@ class TestImports:
         assert self._loaded_after(code) == []
 
 
-class TestBlasThreads:
-    """The Fock-space path calls no threaded BLAS, so a second OpenBLAS
-    thread stays asleep and the results do not depend on the thread
-    count."""
+# twisted helix on a disk, the shape of the benchmark's effective model: its
+# modes come from the shift-invert Arnoldi, its initial wave from
+# nls.ground_state
+DISK_HELIX = {"geometry": {"curve": "helix", "radius": 1.0, "pitch": 1.0,
+                           "twist_rate": 0.5},
+              "cross_section": {"shape": "disk", "radius": 1.0}}
 
-    def test_manybody_leaves_the_second_thread_asleep(self, tmp_path):
+
+class TestBlasThreads:
+    """Neither the Fock-space path nor coeffs and evolve on any
+    cross-section with up to 14 modes call threaded BLAS, so a second
+    OpenBLAS thread stays asleep and the results do not depend on the
+    thread count."""
+
+    @staticmethod
+    def other_thread_cpu(commands, tmp_path):
+        """CPU seconds that every thread but the main one burns over
+        cli.main on each argument list of commands, at 2 BLAS threads; a
+        woken OpenBLAS worker spins about 0.13 s after its last job, so the
+        count ends 0.4 s after the runs."""
         if not Path("/proc/self/task").is_dir():
             pytest.skip("no /proc/self/task to read thread CPU times from")
-        # others(): CPU seconds of every thread but the main one; a woken
-        # OpenBLAS worker spins about 0.13 s after its last job, so the
-        # count ends 0.4 s after the run
         code = "\n".join([
             "import os, threading, time",
             "import bectube.cli as cli",
@@ -299,30 +330,54 @@ class TestBlasThreads:
             "                f = fh.read().rsplit(')', 1)[1].split()",
             "            ticks += int(f[11]) + int(f[12])",
             "    return ticks / os.sysconf('SC_CLK_TCK')",
-            "time.sleep(0.4)", "before = others()",
-            f"assert cli.main(['manybody', '--out', {str(tmp_path)!r}]) == 0",
-            "time.sleep(0.4)",
-            "print(len(os.listdir('/proc/self/task')), others() - before)"])
+            "time.sleep(0.4)", "before = others()"]
+            + [f"assert cli.main({argv + ['--out', str(tmp_path)]!r}) == 0"
+               for argv in commands]
+            + ["time.sleep(0.4)",
+               "print(len(os.listdir('/proc/self/task')), others() - before)"])
         threads, cpu = _python(code, **_blas_threads(2))[-1].split()
         if int(threads) == 1:
             pytest.skip("the BLAS libraries started no second thread")
-        assert float(cpu) <= 0.02
+        return float(cpu)
+
+    @staticmethod
+    def scalars_at(n, commands, out):
+        """scalars.json of each run of commands at n BLAS threads, keyed by
+        subcommand."""
+        _python("\n".join(
+            ["import bectube.cli as cli"]
+            + [f"assert cli.main({argv + ['--out', str(out)]!r}) == 0"
+               for argv in commands]), **_blas_threads(n))
+        return {d.name.split("-")[0]: (d / "scalars.json").read_bytes()
+                for d in out.iterdir()}
+
+    def test_manybody_leaves_the_second_thread_asleep(self, tmp_path):
+        assert self.other_thread_cpu([["manybody"]], tmp_path) <= 0.02
+
+    def test_disk_coeffs_and_evolve_leave_the_second_thread_asleep(
+            self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(DISK_HELIX))
+        commands = [[c, "--config", str(p)] for c in ("coeffs", "evolve")]
+        assert self.other_thread_cpu(commands, tmp_path / "out") <= 0.02
 
     def test_scalars_do_not_depend_on_the_thread_count(self, tmp_path):
         # converge's N = 6 point has Fock dimension 54264, above every
         # BLAS threading threshold
         assert cli.load_config(None)["converge"]["N_list"][-1] == 6
-        scalars = []
-        for n in (1, 2):
-            out = tmp_path / f"threads{n}"
-            _python("\n".join(
-                ["import bectube.cli as cli"]
-                + [f"assert cli.main([{c!r}, '--out', {str(out)!r}]) == 0"
-                   for c in ("manybody", "converge")]), **_blas_threads(n))
-            scalars.append({d.name.split("-")[0]:
-                            (d / "scalars.json").read_bytes()
-                            for d in out.iterdir()})
+        commands = [["manybody"], ["converge"]]
+        scalars = [self.scalars_at(n, commands, tmp_path / f"threads{n}")
+                   for n in (1, 2)]
         assert sorted(scalars[0]) == ["converge", "manybody"]
+        assert scalars[0] == scalars[1]
+
+    def test_disk_scalars_do_not_depend_on_the_thread_count(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(DISK_HELIX))
+        commands = [[c, "--config", str(p)] for c in ("coeffs", "evolve")]
+        scalars = [self.scalars_at(n, commands, tmp_path / f"threads{n}")
+                   for n in (1, 2)]
+        assert sorted(scalars[0]) == ["coeffs", "evolve"]
         assert scalars[0] == scalars[1]
 
 

@@ -88,6 +88,33 @@ class TestConservation:
 
 
 class TestEvolveInterface:
+    @pytest.mark.parametrize("b", [0.0, 5.0])
+    def test_eigen_step_matches_dense_eigh(self, b):
+        # the LOBPCG eigen-step of the polish against the dense operator
+        # the polish assembled before, on a rough potential
+        w = nls.gaussian(8.0, 256)
+        x, k2 = w.x, w.k ** 2
+        d = 5.0 * np.cos(3.0 * x) + 0.5 * x**2 + b * np.abs(w.values) ** 2
+        kin = np.fft.ifft(k2[:, None] * np.fft.fft(np.eye(256), axis=0),
+                          axis=0).real
+        ref = np.linalg.eigh(0.5 * (kin + kin.T) + np.diag(d))[1][:, 0]
+        u = nls._lowest_eigenvector(w.values.real, k2, d)
+        assert np.max(np.abs(u * np.sign(u @ ref) - ref)) < 1e-12
+
+    def test_polish_forms_no_dense_operator(self, monkeypatch):
+        # a dense eigh of more than 3 rows would wake a BLAS thread
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        grid = nls.Wave1D(8.0, np.zeros(256, complex)).x
+        nls.ground_state(nls.Potential1D(v_geom=0.5 * grid**2), 2.0, 8.0, 256)
+        assert sizes and max(sizes) <= 3
+
     def test_focusing_rejected(self):
         w0 = nls.gaussian(8.0, 256)
         with pytest.raises(nls.NLSError, match="focusing"):

@@ -100,23 +100,62 @@ def plain_eigs_modes(cs, m):
     return vals.real[order], vecs / np.linalg.norm(vecs, axis=0)
 
 
+def _holed_square():
+    """A square with an off-centre hole: a mask with no levelset."""
+    y = np.linspace(0.0, np.pi, 66)[1:-1]
+    mask = np.ones((64, 64), dtype=bool)
+    mask[10:22, 16:28] = False
+    return tv.masked(y, y, mask)
+
+
 class TestBoundaryFittedSolve:
-    # the fill-reducing LU against eigs with its default factorization; the
-    # disk's second and third modes are degenerate, so only chi_0 is
-    # compared there
+    # the BLAS-free Arnoldi on the fill-reducing LU against ARPACK's eigs
+    # with its default factorization; the disk's second and third modes are
+    # degenerate, so only chi_0 is compared there
     @pytest.mark.parametrize("cs, m, n_compared", [
         (tv.disk(1.0, n=96), 2, 1),
         (tv.ellipse(1.5, 1.0, n=64), 3, 3),
-    ], ids=["disk", "ellipse"])
+        (_holed_square(), 3, 3),
+        (tv.rectangle(2.0, 1.0, n=63,
+                      vperp=lambda y1, y2: 4.0 * (y1 - 0.7) ** 2 + y2), 3, 3),
+    ], ids=["disk", "ellipse", "mask", "varying_vperp"])
     def test_matches_default_factorization(self, cs, m, n_compared):
         modes = tv.dirichlet_modes(cs, m=m)
         vals, vecs = plain_eigs_modes(cs, m)
-        assert np.max(np.abs(modes.energies - vals) / vals) < 1e-10
+        assert np.max(np.abs(modes.energies - vals) / vals) < 1e-12
         for j in range(n_compared):
             v = modes.chi[j][cs.mask]
             v = v / np.linalg.norm(v)
             ref = vecs[:, j] * np.sign(v @ vecs[:, j])
-            assert np.max(np.abs(v - ref)) < 1e-8
+            assert np.max(np.abs(v - ref)) < 1e-10
+
+
+class TestShiftInvertArnoldi:
+    def test_disk_finds_both_vectors_of_the_j1_pair(self):
+        # an unrestarted Krylov space holds one vector per eigenspace that
+        # its start vector reaches; m = 2 solves for 3 pairs, and the third
+        # must be the J1 partner, not the J2 level
+        vals, _ = tv._shift_invert_modes(tv.disk(1.0, n=127), 3)
+        assert abs(vals[2] - vals[1]) < 1e-10 * vals[1]
+        assert vals[1] > 2.0 * vals[0]
+
+    def test_unconverged_solve_is_refused(self, tmp_path, monkeypatch):
+        # the disk needs about 30 steps; 4 per wanted pair do not suffice,
+        # and the modes are refused rather than returned unconverged
+        monkeypatch.setattr(tv, "_ARNOLDI_STEPS", 0)
+        with pytest.raises(tv.CrossSectionError, match="did not converge"):
+            tv.dirichlet_modes(tv.disk(1.0, n=63), m=2)
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"cross_section": {"shape": "disk",
+                                                   "n": 63}}))
+        assert cli.main(["modes", "--config", str(p),
+                         "--out", str(tmp_path / "out")]) == 2
+        assert not list(tmp_path.rglob("scalars.json"))
+
+    def test_operator_without_dominant_eigenvalues_is_refused(self):
+        # every eigenvalue of a cyclic shift has modulus 1
+        with pytest.raises(tv.CrossSectionError, match="did not converge"):
+            tv._arnoldi(lambda x: np.roll(x, 1), 500, 3)
 
 
 class TestProductModes:
