@@ -4,7 +4,7 @@ After integrating out the cross section, the condensate wave obeys a cubic
 NLS on the axis with the geometric potential and coupling b.  The solver is
 a Strang split-step scheme on a periodic grid.  This script checks it
 against a plane-wave solution, conserves mass and energy, and computes the
-nonlinear ground state by imaginary time.
+nonlinear ground state by energy minimization.
 """
 
 import numpy as np
@@ -43,7 +43,7 @@ def main():
         print(f"  dt = {dt:g}: identity defect "
               f"{nls.energy_drift_check(traj, pot_t, 1.0):.2e}")
 
-    print("\n== Nonlinear ground state by imaginary time ==")
+    print("\n== Nonlinear ground state by energy minimization ==")
     trap = nls.Potential1D(v_geom=0.5 * x**2)
     for b_gs in (0.0, 2.0):
         gs = nls.ground_state(trap, b_gs, X, G)

@@ -312,14 +312,13 @@ def _nls_setup(cfg: dict):
     sv = cfg["solver"]
     X, G = sv["X"], sv["G"]
     modes = build_modes(cfg)
-    if cfg["geometry"]["curve"] == "line" and not cfg["geometry"]["twist_rate"]:
-        v_geom = np.zeros(G)
-    else:
-        frame, twist = build_frame(cfg)
-        vals = geometry.geometric_potential(frame, twist, modes.lchi2)
-        grid = nls.Wave1D(X, np.zeros(G, dtype=complex)).x
-        v_geom = np.interp(grid, frame.x, vals,
-                           left=vals[0], right=vals[-1])
+    frame, twist = build_frame(cfg)
+    vals = geometry.geometric_potential(frame, twist, modes.lchi2)
+    grid = nls.Wave1D(X, np.zeros(G, dtype=complex)).x
+    # a reparameterized curve's arc length starts at 0: centre the guide
+    # on the box [-X, X)
+    centred = frame.x - 0.5 * (frame.x[0] + frame.x[-1])
+    v_geom = np.interp(grid, centred, vals, left=vals[0], right=vals[-1])
     pot = nls.Potential1D(v_geom=v_geom)
     b = scaling.b_coefficient(modes, scaling.bump_potential(),
                               cfg["scaling"]["regime"])

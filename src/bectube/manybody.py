@@ -220,10 +220,11 @@ def one_body_matrix(spb: SingleParticleBasis) -> np.ndarray:
     (E_j - E_0)/eps^2.  The paper's external potential V(t, x) acts on the
     effective 1D model (``nls.Potential1D``), not here."""
     h = np.diag(2.0 / spb.dx**2 + np.tile(spb.transverse_offsets(), spb.G_x))
-    # neighbouring sites (g +- 1) mod G_x are modes i +- m mod d
+    # neighbouring sites (g +- 1) mod G_x are modes i +- m mod d; they are
+    # one site at G_x = 2 and the site itself at G_x = 1, so the bonds add
     i = np.arange(spb.d)
     for shift in (spb.m, -spb.m):
-        h[i, (i + shift) % spb.d] = -1.0 / spb.dx**2
+        h[i, (i + shift) % spb.d] -= 1.0 / spb.dx**2
     return h
 
 

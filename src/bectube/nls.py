@@ -2,8 +2,9 @@
 
 Solves i dPhi/dt = (-d^2/dx^2 + V_geom + V(t,x) + b |Phi|^2) Phi with a
 Strang split-step spectral method, provides the conserved observables (mass,
-energy, Sobolev norms), ground states by imaginary-time propagation, and the
-energy-derivative identity dE/dt = <Phi, dV/dt Phi> as a numeric check.
+energy, Sobolev norms), ground states by preconditioned energy minimization
+on the unit sphere, and the energy-derivative identity
+dE/dt = <Phi, dV/dt Phi> as a numeric check.
 """
 
 from __future__ import annotations
@@ -232,106 +233,75 @@ def energy_drift_check(traj: Sequence[Wave1D], pot: Potential1D,
 
 def ground_state(pot: Potential1D, b: float, X: float, G: int,
                  tol: float = 1e-10) -> Wave1D:
-    """Normalized energy minimizer by imaginary-time propagation from the
-    constant wave (at most 2000 steps of
-    dt = 0.5 / max(1, max |V|, max k^2 / 8), renormalized after every step),
-    polished by a damped self-consistent eigensolve (the split fixed point
-    alone carries an O(dt^2) bias): each step averages the wave with the
-    lowest eigenvector of its linearized operator, found by
-    ``_lowest_eigenvector`` from the current wave.
+    """Normalized minimizer of ``energy``: block-1 LOBPCG on the unit sphere
+    (Knyazev 2001, SIAM J. Sci. Comput. 23:517) from the constant wave.
 
-    Converged when the constrained gradient (H Phi - <Phi, H Phi> Phi) has
-    norm below ``tol``.
+    Each step spans the wave u, its residual r = H(u) u - <u, H(u) u> u with
+    H(u) = -d^2/dx^2 + V + b |u|^2 under the Fourier preconditioner
+    1/(k^2 + 1 + max |V + b |u|^2|), and the previous step, and moves to the
+    unit wave of least energy in that span (``_least_energy``; Antoine,
+    Levitt & Tang 2017, J. Comput. Phys. 343:92).  No G x G matrix is formed.
+    Converged when ||r|| < ``tol``; ``NLSError`` after 2000 steps.
     """
     if b < 0:
         raise NLSError("minimizer requires b >= 0")
     w = plane_wave(X, G, mode=0)
-    v = w.values.astype(complex)
-    x, k2, dx = w.x, w.k**2, w.dx
-    vv = pot.total(0.0, x)
-    dt = 0.5 / max(1.0, float(np.max(np.abs(vv))), float(np.max(k2)) / 8)
-    half = np.exp(-0.5 * dt * k2)
-    g = np.inf
-    for it in range(2000):
-        v = np.fft.ifft(half * np.fft.fft(v))
-        v = v * np.exp(-dt * (vv + b * np.abs(v) ** 2))
-        v = np.fft.ifft(half * np.fft.fft(v))
-        v = v / np.sqrt(dx * np.sum(np.abs(v) ** 2))
-        if it % 50 == 0:
-            g = _constrained_gradient(v, vv, b, k2, dx)
-            if g < max(tol, 1e-3):
-                break
-    # the split fixed point carries an O(dt^2) bias, so polish by a
-    # self-consistent eigensolve of the linearized operator
-    for _ in range(200):
-        u = _lowest_eigenvector(v.real, k2, vv + b * np.abs(v) ** 2)
-        u = u.astype(complex) / np.sqrt(dx)
-        phase = np.vdot(v, u)
-        if abs(phase) > 0:
-            u = u * np.conj(phase) / abs(phase)
-        v = 0.5 * (v + u)
-        v = v / np.sqrt(dx * np.sum(np.abs(v) ** 2))
-        g = _constrained_gradient(v, vv, b, k2, dx)
-        if g < tol:
-            return Wave1D(X, v, t=0.0)
-    raise NLSError(f"ground-state iteration did not converge: "
-                   f"gradient {g:.3e} > {tol:.1e}")
+    k2, vv = w.k**2, pot.total(0.0, w.x)
+    g = b / w.dx  # b |Phi|^2 = g x^2 for the unit vector x = sqrt(dx) Phi
 
+    def h_lin(y):  # -d^2/dx^2 + V on each row of y
+        return np.fft.ifft(k2 * np.fft.fft(y)).real + vv * y
 
-def _constrained_gradient(v, vv, b, k2, dx):
-    Hv = np.fft.ifft(k2 * np.fft.fft(v)) + (vv + b * np.abs(v) ** 2) * v
-    lam = dx * np.sum(np.conj(v) * Hv).real
-    return float(np.sqrt(dx * np.sum(np.abs(Hv - lam * v) ** 2)))
-
-
-def _apply_h(x, k2, d):
-    """ifft(k2 fft(x)) + d x for each row of x (real)."""
-    return np.fft.ifft(k2 * np.fft.fft(x)).real + d * x
-
-
-def _lowest_eigenvector(x, k2, d):
-    """Unit lowest eigenvector of H = ifft k2 fft + diag(d), real, by
-    block-1 LOBPCG (Knyazev 2001, SIAM J. Sci. Comput. 23:517) started at
-    x.
-
-    Each step preconditions the residual with the Fourier multiplier
-    1/(k2 + 1 + max |d|) and takes the lowest Ritz vector of H on the
-    orthonormalized span of x, that direction and the previous step (a
-    3 x 3 Rayleigh-Ritz problem).  No dense G x G matrix is formed, and
-    the one LAPACK call is that 3 x 3 ``eigh``, so no BLAS thread wakes.
-    Converged when ||H x - <x, H x> x|| is at most 8 eps (max k2 + max |d|),
-    a few times the round-off of one application of H; ``NLSError`` after
-    500 steps.
-    """
-    dmax = float(np.max(np.abs(d)))
-    target = 8.0 * np.finfo(float).eps * (float(np.max(k2)) + dmax)
-    x = x / np.sqrt(np.add.reduce(x * x))
-    p = None
-    for _ in range(500):
-        hx = _apply_h(x, k2, d)
+    x, p = np.full(G, G**-0.5), np.zeros(G)
+    for _ in range(2000):
+        hx = h_lin(x) + g * x**3
         r = hx - np.add.reduce(x * hx) * x
         res = np.sqrt(np.add.reduce(r * r))
-        if res <= target:
-            return x
+        if res < tol:
+            return Wave1D(X, (x / np.sqrt(w.dx)).astype(complex))
+        shift = 1.0 + np.max(np.abs(vv + g * x * x))
         basis = [x]
-        for y in (np.fft.ifft(np.fft.fft(r) / (k2 + 1.0 + dmax)).real, p):
-            if y is None:
-                continue
-            y = y / np.sqrt(np.add.reduce(y * y))
-            for _ in range(2):
-                for q in basis:
-                    y = y - np.add.reduce(q * y) * q
+        for y in (np.fft.ifft(np.fft.fft(r) / (k2 + shift)).real, p):
+            y0 = np.sqrt(np.add.reduce(y * y))
+            for q in basis + basis:  # Gram-Schmidt, twice
+                y = y - np.add.reduce(q * y) * q
             norm = np.sqrt(np.add.reduce(y * y))
-            if norm > 1e-10:
+            if norm > 1e-10 * y0:
                 basis.append(y / norm)
         S = np.array(basis)
-        M = np.einsum("ij,kj->ik", S, _apply_h(S, k2, d))
-        c = np.linalg.eigh(0.5 * (M + M.T))[1][:, 0]
+        c = _least_energy(S, np.einsum("ij,kj->ik", S, h_lin(S)), g)
         p = np.einsum("i,ij->j", c[1:], S[1:])
         x = np.einsum("i,ij->j", c, S)
         x = x / np.sqrt(np.add.reduce(x * x))
-    raise NLSError(f"ground-state eigen-step did not converge: residual "
-                   f"{res:.3e} > {target:.1e}")
+    raise NLSError(f"ground-state iteration did not converge: "
+                   f"residual {res:.3e} > {tol:.1e}")
+
+
+def _least_energy(S, A, g):
+    """Unit c of least energy c A c + (g/2) sum (c S)^4 by a self-consistent
+    loop from c = e_1: each of at most 50 steps moves c towards the lowest
+    eigenvector of A + g S diag((c S)^2) S^T, the one LAPACK call (3 x 3),
+    and halves the move, at most 40 times, until the energy does not rise."""
+    A = 0.5 * (A + A.T)
+    c = np.eye(len(S))[0]
+    for _ in range(50):
+        y = np.einsum("i,ij->j", c, S)
+        M = A + g * np.einsum("ij,j,kj->ik", S, y * y, S)
+        u = np.linalg.eigh(M)[1][:, 0]
+        u = u if u @ c >= 0 else -u
+        for _ in range(40):
+            # E(u) - E(c), written in u - c so that it keeps its sign at
+            # moves far below the round-off of E itself
+            z = np.einsum("i,ij->j", u - c, S)
+            de = (u - c) @ A @ (u + c) + 0.5 * g * np.add.reduce(
+                z * (2 * y + z) * ((y + z) ** 2 + y * y))
+            if de <= 0:
+                break
+            u = (u + c) / np.linalg.norm(u + c)
+        if de > 0 or np.array_equal(u, c):
+            return c
+        c = u
+    return c
 
 
 def linear_ground_state(pot: Potential1D, X: float, G: int) -> Wave1D:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bectube import cli
+from bectube import cli, nls
 
 
 @pytest.fixture()
@@ -227,6 +227,15 @@ class TestMain:
         assert cli.main(["evolve", "--config", str(p)]) == 2
         assert not list(tmp_path.rglob("scalars.json"))
 
+    def test_evolve_on_thin_square_bump(self, outdir, tmp_path):
+        # a 0.5 x 0.5 square gives b = 5.7 and the bump a shallow well:
+        # the ground state converges and the run exits 0
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({
+            "geometry": {"curve": "bump_line"},
+            "cross_section": {"a": 0.5, "b": 0.5, "n": 31, "m": 1}}))
+        assert cli.main(["evolve", "--config", str(p)]) == 0
+
     def test_manybody_g_is_constant(self, outdir):
         # on the static lattice g(t) = sqrt(1 + |E(0)|) at every stored time
         assert cli.main(["manybody"]) == 0
@@ -399,6 +408,19 @@ class TestRunSetup:
         pot, b = cli._nls_setup(cli.load_config(p))
         assert len(calls) == 1
         assert np.any(pot.v_geom != 0) and b > 0
+
+    def test_bump_guide_centred_on_box(self, tmp_path):
+        # the bump sits at arc length 8.01 of [0, 16.02]; on the box
+        # [-8, 8) its well is at x = 0 and the potential is even
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"geometry": {"curve": "bump_line"},
+                                 "cross_section": {"n": 31, "m": 1}}))
+        cfg = cli.load_config(p)
+        pot, _ = cli._nls_setup(cfg)
+        v = pot.v_geom
+        x = nls.Wave1D(cfg["solver"]["X"], np.zeros(len(v), complex)).x
+        assert x[np.argmin(v)] == 0.0
+        assert np.max(np.abs(v[1:] - v[1:][::-1])) < 1e-12
 
     def test_frames_end_at_T(self, tmp_path):
         # T = 1.2345 is no multiple of a round step: the 10 Lanczos steps

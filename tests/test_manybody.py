@@ -196,12 +196,14 @@ class TestCondensateState:
 
 
 class TestOneBody:
-    def test_free_lattice_spectrum(self):
-        spb = mb.SingleParticleBasis(G_x=8, dx=0.5, eps=0.5,
+    @pytest.mark.parametrize("G_x", [1, 2, 3, 8])
+    def test_free_lattice_spectrum(self, G_x):
+        # at G_x = 1 and 2 a site's two bonds land on one entry, and add
+        spb = mb.SingleParticleBasis(G_x=G_x, dx=0.5, eps=0.5,
                                      transverse_energies=np.array([2.0]))
         h = mb.one_body_matrix(spb)
         evals = np.sort(np.linalg.eigvalsh(h))
-        k = 2 * np.pi * np.arange(8) / 8
+        k = 2 * np.pi * np.arange(G_x) / G_x
         exact = np.sort(2.0 / 0.25 * (1 - np.cos(k)))
         assert np.allclose(evals, exact, atol=1e-12)
 
@@ -216,7 +218,7 @@ class TestOneBody:
             i = g * m + j
             ref[i, i] = 2.0 / 0.4**2 + offs[j]
             for g2 in ((g + 1) % G_x, (g - 1) % G_x):
-                ref[i, g2 * m + j] = -1.0 / 0.4**2
+                ref[i, g2 * m + j] -= 1.0 / 0.4**2
         assert np.array_equal(h, ref)
 
     def test_transverse_offsets_enter_diagonal(self, modes):

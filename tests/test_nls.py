@@ -88,33 +88,6 @@ class TestConservation:
 
 
 class TestEvolveInterface:
-    @pytest.mark.parametrize("b", [0.0, 5.0])
-    def test_eigen_step_matches_dense_eigh(self, b):
-        # the LOBPCG eigen-step of the polish against the dense operator
-        # the polish assembled before, on a rough potential
-        w = nls.gaussian(8.0, 256)
-        x, k2 = w.x, w.k ** 2
-        d = 5.0 * np.cos(3.0 * x) + 0.5 * x**2 + b * np.abs(w.values) ** 2
-        kin = np.fft.ifft(k2[:, None] * np.fft.fft(np.eye(256), axis=0),
-                          axis=0).real
-        ref = np.linalg.eigh(0.5 * (kin + kin.T) + np.diag(d))[1][:, 0]
-        u = nls._lowest_eigenvector(w.values.real, k2, d)
-        assert np.max(np.abs(u * np.sign(u @ ref) - ref)) < 1e-12
-
-    def test_polish_forms_no_dense_operator(self, monkeypatch):
-        # a dense eigh of more than 3 rows would wake a BLAS thread
-        sizes = []
-        eigh = np.linalg.eigh
-
-        def recording(a, *args, **kwargs):
-            sizes.append(len(a))
-            return eigh(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", recording)
-        grid = nls.Wave1D(8.0, np.zeros(256, complex)).x
-        nls.ground_state(nls.Potential1D(v_geom=0.5 * grid**2), 2.0, 8.0, 256)
-        assert sizes and max(sizes) <= 3
-
     def test_focusing_rejected(self):
         w0 = nls.gaussian(8.0, 256)
         with pytest.raises(nls.NLSError, match="focusing"):
@@ -219,3 +192,50 @@ class TestGroundState:
     def test_focusing_rejected(self):
         with pytest.raises(nls.NLSError):
             nls.ground_state(nls.free_potential(), -1.0, 8.0, 256)
+
+    @pytest.mark.parametrize("b", [0.0, 5.0])
+    def test_matches_dense_eigh(self, b):
+        # on a rough potential the minimizer is the lowest eigenvector of
+        # its own operator, assembled densely here
+        X, G = 8.0, 256
+        grid = nls.Wave1D(X, np.zeros(G, complex))
+        x, k2 = grid.x, grid.k ** 2
+        v = 5.0 * np.cos(3.0 * x) + 0.5 * x**2
+        w = nls.ground_state(nls.Potential1D(v_geom=v), b, X, G)
+        kin = np.fft.ifft(k2[:, None] * np.fft.fft(np.eye(G), axis=0),
+                          axis=0).real
+        d = v + b * np.abs(w.values) ** 2
+        ref = np.linalg.eigh(0.5 * (kin + kin.T) + np.diag(d))[1][:, 0]
+        u = w.values.real * np.sqrt(grid.dx)
+        assert np.max(np.abs(u * np.sign(u @ ref) - ref)) < 1e-9
+
+    def test_forms_no_dense_operator(self, monkeypatch):
+        # a dense eigh of more than 3 rows would wake a BLAS thread
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        grid = nls.Wave1D(8.0, np.zeros(256, complex)).x
+        nls.ground_state(nls.Potential1D(v_geom=0.5 * grid**2), 2.0, 8.0, 256)
+        assert sizes and max(sizes) <= 3
+
+    @pytest.mark.parametrize("X, G, v, b", [
+        # strong repulsion in a trap
+        (8.0, 256, lambda x: 0.5 * x**2, 20.0),
+        # a double well whose two lowest levels nearly coincide
+        (20.0, 1024, lambda x: 0.05 * (x**2 - 9) ** 2, 0.0),
+    ], ids=["harmonic", "double_well"])
+    def test_residual_below_tol(self, X, G, v, b):
+        grid = nls.Wave1D(X, np.zeros(G, complex))
+        pot = nls.Potential1D(v_geom=v(grid.x))
+        w = nls.ground_state(pot, b, X, G, tol=1e-10)
+        phi = w.values
+        h_phi = (np.fft.ifft(grid.k**2 * np.fft.fft(phi))
+                 + (pot.v_geom + b * np.abs(phi) ** 2) * phi)
+        lam = w.dx * np.vdot(phi, h_phi).real
+        assert w.mass() == pytest.approx(1.0, abs=1e-12)
+        assert np.sqrt(w.dx * np.sum(np.abs(h_phi - lam * phi) ** 2)) < 1e-10
