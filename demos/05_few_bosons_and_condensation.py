@@ -45,7 +45,9 @@ def main():
         phi_T = hart[-1][1] / np.linalg.norm(hart[-1][1])
         a = cd.alpha_n2(basis, cd.condensate_ref(phi_T), frames[-1][1])
         e_mb = mb.energy_per_particle(basis, frames[-1][1], H)
-        e_h = mb.hartree_energy(h_one, offsets, K, G_x, 1, N, phi_T)
+        # the Hartree energy of phi_T is the energy of its condensate
+        e_h = mb.energy_per_particle(basis, mb.condensate_state(basis, phi_T),
+                                     H)
         print(f"  N = {N}: dim = {basis.dim:6d}  alpha_n2 = {a:.4e}  "
               f"E/N exact {e_mb:+.5f}  Hartree {e_h:+.5f}")
 

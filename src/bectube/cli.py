@@ -119,7 +119,18 @@ def load_config(path=None) -> dict:
 
 
 def _validate(cfg: dict) -> dict:
+    # a value must have its default's type; an int stands for a float, and
+    # a bool is no int
+    for section, table in DEFAULT_CONFIG.items():
+        for key, default in table.items():
+            value = cfg[section][key]
+            if type(default) is int and type(value) is not int:
+                raise ConfigError(f"{section}.{key} must be an integer")
+            if type(default) is float and type(value) not in (int, float):
+                raise ConfigError(f"{section}.{key} must be a number")
     s = cfg["scaling"]
+    if s["N"] < 1:
+        raise ConfigError("scaling.N must be at least 1")
     if not 0.0 < s["beta"] < 1.0 / 3.0:
         raise ConfigError("scaling.beta must lie in (0, 1/3)")
     if not 0.0 < s["eps"] <= 1.0:
@@ -135,15 +146,16 @@ def _validate(cfg: dict) -> dict:
     if cfg["scaling"]["regime"] not in ("moderate", "strong"):
         raise ConfigError("scaling.regime must be moderate or strong")
     sv = cfg["solver"]
+    if sv["initial"] not in ("ground", "gaussian"):
+        raise ConfigError("solver.initial must be ground or gaussian")
     # a dx <= 0 would empty the kernel's offsets and drop the interaction
     for key in ("dx", "T"):
-        if not (type(sv[key]) in (int, float) and 0.0 < sv[key] < np.inf):
+        if not 0.0 < sv[key] < np.inf:
             raise ConfigError(f"solver.{key} must be a positive number")
     # one_body_matrix's two bonds of a site coincide below 3 sites
-    if not (type(sv["G_x"]) is int and sv["G_x"] >= 3):
+    if sv["G_x"] < 3:
         raise ConfigError("solver.G_x must be an integer, at least 3")
-    m = cfg["cross_section"]["m"]
-    if not (type(m) is int and m >= 1):
+    if cfg["cross_section"]["m"] < 1:
         raise ConfigError("cross_section.m must be an integer, at least 1")
     Ns = cfg["converge"]["N_list"]
     if not (isinstance(Ns, list) and len(Ns) >= 2
@@ -384,8 +396,8 @@ def _stationarity(spb, offsets, K, h_one, N: int, phi0):
 
 def _mean_field_refs(spb, offsets, K, h_one, N: int, phi0, T: float,
                      steps: int) -> list:
-    """(condensate_ref, e_phi) of the Hartree solution from phi0 at the
-    times k T / steps, k = 0..steps.
+    """condensate_ref of the Hartree solution from phi0 at the times
+    k T / steps, k = 0..steps.
 
     On the translation-invariant lattice phi0 is a stationary Hartree
     solution when no excited transverse mode among the first m couples to
@@ -395,16 +407,14 @@ def _mean_field_refs(spb, offsets, K, h_one, N: int, phi0, T: float,
     m >= 5, whose (1, 3) and (3, 1) modes are even under every symmetry)
     the reference is integrated by ``hartree_evolve`` instead."""
     residual, bound = _stationarity(spb, offsets, K, h_one, N, phi0)
-    args = (h_one, offsets, K, spb.G_x, spb.m, N)
     if residual <= bound:
-        ref = condensation.condensate_ref(phi0)
-        return [(ref, manybody.hartree_energy(*args, ref.phi))] * (steps + 1)
+        return [condensation.condensate_ref(phi0)] * (steps + 1)
     # Hartree steps of at most min(1e-3, T/1000), rounded up to a multiple
     # of the frame count: frame k is Hartree frame k * stride
     stride = -(-manybody._steps(T, min(1e-3, T / 1000))[0] // steps)
-    hart = manybody.hartree_evolve(*args, phi0, T=T, dt=T / (stride * steps))
-    refs = [condensation.condensate_ref(phi) for _, phi in hart[::stride]]
-    return [(ref, manybody.hartree_energy(*args, ref.phi)) for ref in refs]
+    hart = manybody.hartree_evolve(h_one, offsets, K, spb.G_x, spb.m, N, phi0,
+                                   T=T, dt=T / (stride * steps))
+    return [condensation.condensate_ref(phi) for _, phi in hart[::stride]]
 
 
 def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
@@ -421,14 +431,21 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     frames = manybody.evolve_state(basis, H, psi0, T=T, dt=T / steps,
                                    store_every=1)
     refs = _mean_field_refs(spb, offsets, K, h_one, N, phi0, T, steps)
+    # e_phi, the Hartree energy of ref.phi, is the many-body energy per
+    # particle of its condensate; the reference at t = 0 is phi0's, whose
+    # condensate is psi0, and a stationary phi0 keeps it at every time
+    e0 = manybody.energy_per_particle(basis, psi0, H)
+    e_phis = [e0 if ref is refs[0] else manybody.energy_per_particle(
+                  basis, manybody.condensate_state(basis, ref.phi), H)
+              for ref in refs]
 
     xi = cfg["scaling"]["xi"]
     mweight = condensation.weight_m(N, xi)
     # the paper's g(t)^2 = 1 + |E(0)| + int_0^t sup_x |dV/dt(s)| ds, constant
     # on the static lattice
-    g = float(np.sqrt(1.0 + abs(manybody.energy_per_particle(basis, psi0, H))))
+    g = float(np.sqrt(1.0 + abs(e0)))
     rows = []
-    for (tpsi, psi), (ref, e_phi) in zip(frames, refs):
+    for (tpsi, psi), ref, e_phi in zip(frames, refs, e_phis):
         pk = condensation.sector_weights(basis, ref, psi)
         a_n2 = float(np.dot(condensation.weight_n(N, 2.0).table, pk))
         a_m = float(np.dot(mweight.table, pk))
@@ -605,9 +622,8 @@ def _verify_registry():
         frame = geometry.bishop_frame(
             geometry.reparameterize_arclength(geometry.circle(2.0)),
             n_nodes=512)
-        w = scaling.bump_potential()
         ratios = [scaling.taylor_decompose(
-                      w, types.SimpleNamespace(eps=eps, mu=mu), frame,
+                      types.SimpleNamespace(eps=eps, mu=mu), frame,
                       geometry.no_twist(), n_samples=20_000).rbar / (eps + mu)
                   for eps in (0.05, 0.1) for mu in (0.05, 0.1)]
         d = max(ratios) / min(ratios)

@@ -4,17 +4,15 @@ the curvature-induced potentials.
 A waveguide is built from three ingredients: a unit-speed space curve, an
 orthonormal frame transported along it without tangential rotation, and a
 twist angle that rotates the cross-section relative to that frame.  This
-module computes all scalar fields derived from the geometry that the
-effective 1D dynamics needs: the curvature components and their derivatives,
-the metric factor rho, the auxiliary factor s, the bending potential and the
-combined geometric potential.
+module computes the scalar fields derived from the geometry that the
+effective 1D dynamics needs: the curvature components, the metric factor
+rho, the auxiliary factor s and the combined geometric potential.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -56,11 +54,11 @@ def _vec(fx, fy, fz):
     return ev
 
 
-def line(x_min=-10.0, x_max=10.0) -> CurveSpec:
-    """Straight line (t, 0, 0); already unit speed."""
+def line() -> CurveSpec:
+    """Straight line (t, 0, 0) on [-10, 10]; already unit speed."""
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return CurveSpec(
-        "line", x_min, x_max,
+        "line", -10.0, 10.0,
         c=_vec(lambda x: x, z, z),
         dc=_vec(lambda x: np.ones_like(np.asarray(x, dtype=float)), z, z),
         ddc=_vec(z, z, z),
@@ -68,23 +66,25 @@ def line(x_min=-10.0, x_max=10.0) -> CurveSpec:
     )
 
 
-def circle(radius: float, t_min=0.0, t_max=2.0 * np.pi) -> CurveSpec:
-    """Circle of given radius in the z=0 plane, angle parametrization."""
+def circle(radius: float) -> CurveSpec:
+    """Circle of given radius in the z=0 plane, angle parametrization on
+    [0, 2 pi]."""
     R = float(radius)
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return CurveSpec(
-        "circle", t_min, t_max,
+        "circle", 0.0, 2.0 * np.pi,
         c=_vec(lambda t: R * np.cos(t), lambda t: R * np.sin(t), z),
         dc=_vec(lambda t: -R * np.sin(t), lambda t: R * np.cos(t), z),
         ddc=_vec(lambda t: -R * np.cos(t), lambda t: -R * np.sin(t), z),
     )
 
 
-def helix(radius: float, pitch: float, t_min=0.0, t_max=4.0 * np.pi) -> CurveSpec:
-    """Helix (R cos t, R sin t, h t); constant speed sqrt(R^2 + h^2)."""
+def helix(radius: float, pitch: float) -> CurveSpec:
+    """Helix (R cos t, R sin t, h t) on [0, 4 pi]; constant speed
+    sqrt(R^2 + h^2)."""
     R, h = float(radius), float(pitch)
     return CurveSpec(
-        "helix", t_min, t_max,
+        "helix", 0.0, 4.0 * np.pi,
         c=_vec(lambda t: R * np.cos(t), lambda t: R * np.sin(t), lambda t: h * t),
         dc=_vec(lambda t: -R * np.sin(t), lambda t: R * np.cos(t),
                 lambda t: h * np.ones_like(np.asarray(t, dtype=float))),
@@ -93,15 +93,16 @@ def helix(radius: float, pitch: float, t_min=0.0, t_max=4.0 * np.pi) -> CurveSpe
     )
 
 
-def bump_line(amplitude=0.2, width=1.0, x_min=-8.0, x_max=8.0) -> CurveSpec:
-    """Straight line with a localized Gaussian bump in the y-direction."""
-    A, s = float(amplitude), float(width)
-    g = lambda t: A * np.exp(-(t / s) ** 2)
-    dg = lambda t: -2.0 * t / s**2 * g(t)
-    ddg = lambda t: (-2.0 / s**2 + 4.0 * t**2 / s**4) * g(t)
+def bump_line(amplitude=0.2) -> CurveSpec:
+    """Straight line on [-8, 8] with a localized Gaussian bump of unit width
+    in the y-direction."""
+    A = float(amplitude)
+    g = lambda t: A * np.exp(-t**2)
+    dg = lambda t: -2.0 * t * g(t)
+    ddg = lambda t: (-2.0 + 4.0 * t**2) * g(t)
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
     return CurveSpec(
-        "bump_line", x_min, x_max,
+        "bump_line", -8.0, 8.0,
         c=_vec(lambda t: t, g, z),
         dc=_vec(lambda t: np.ones_like(np.asarray(t, dtype=float)), dg, z),
         ddc=_vec(z, ddg, z),
@@ -182,11 +183,6 @@ class TwistSpec:
     theta: Callable[[np.ndarray], np.ndarray]
     dtheta: Callable[[np.ndarray], np.ndarray]
 
-    def rotation(self, x: float) -> np.ndarray:
-        th = float(self.theta(x))
-        c, s = np.cos(th), np.sin(th)
-        return np.array([[c, -s], [s, c]])
-
 
 def no_twist() -> TwistSpec:
     z = lambda x: np.zeros_like(np.asarray(x, dtype=float))
@@ -207,8 +203,8 @@ def linear_twist(rate: float) -> TwistSpec:
 
 @dataclass
 class FrameField:
-    """Parallel-transport frame sampled on a uniform grid, with curvature
-    components and their finite-difference derivatives."""
+    """Parallel-transport frame sampled on a uniform grid, with the
+    curvature components along its normals."""
 
     x: np.ndarray
     tau: np.ndarray        # (n, 3)
@@ -220,26 +216,8 @@ class FrameField:
     _splines: dict = field(default_factory=dict, repr=False)
 
     @property
-    def h_x(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    @property
     def kappa(self) -> np.ndarray:
         return np.hypot(self.kappa1, self.kappa2)
-
-    @cached_property
-    def kappa_d1(self) -> np.ndarray:
-        """First derivative of (kappa1, kappa2), shape (n, 2); computed
-        once per frame."""
-        return np.stack([_fd_derivative(self.kappa1, self.h_x, 1),
-                         _fd_derivative(self.kappa2, self.h_x, 1)], axis=-1)
-
-    @cached_property
-    def kappa_d2(self) -> np.ndarray:
-        """Second derivative of (kappa1, kappa2), shape (n, 2); computed
-        once per frame."""
-        return np.stack([_fd_derivative(self.kappa1, self.h_x, 2),
-                         _fd_derivative(self.kappa2, self.h_x, 2)], axis=-1)
 
     def orthonormality_defect(self) -> float:
         B = np.stack([self.tau, self.e1, self.e2], axis=1)  # (n, 3, 3)
@@ -262,12 +240,6 @@ class FrameField:
         k = np.stack([self.kappa1, self.kappa2], axis=-1)
         return self._spline("kv", k)(x)
 
-    def kappa_d1_at(self, x):
-        return self._spline("kd1", self.kappa_d1)(x)
-
-    def kappa_d2_at(self, x):
-        return self._spline("kd2", self.kappa_d2)(x)
-
     def to_csv(self, path) -> None:
         header = ("x,tau1,tau2,tau3,e11,e12,e13,e21,e22,e23,"
                   "kappa1,kappa2,kappa")
@@ -275,30 +247,6 @@ class FrameField:
                                 self.kappa1, self.kappa2, self.kappa])
         np.savetxt(path, data, delimiter=",", header=header, comments="",
                    fmt="%.17g")
-
-
-def _fd_derivative(y: np.ndarray, h: float, order: int) -> np.ndarray:
-    """4th-order central finite differences, one-sided at the boundary."""
-    n = len(y)
-    out = np.empty(n)
-    if order == 1:
-        c = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / (12.0 * h)
-        one = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / (12.0 * h)
-    elif order == 2:
-        c = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * h**2)
-        one = np.array([45.0, -154.0, 214.0, -156.0, 61.0, -10.0]) / (12.0 * h**2)
-    else:
-        raise ValueError(order)
-    m = len(one)
-    for i in range(n):
-        if 2 <= i <= n - 3:
-            out[i] = c @ y[i - 2:i + 3]
-        elif i < 2:
-            out[i] = one @ y[i:i + m]
-        else:
-            sgn = -1.0 if order == 1 else 1.0
-            out[i] = sgn * (one @ y[i - m + 1:i + 1][::-1])
-    return out
 
 
 def bishop_frame(curve: CurveSpec, n_nodes: int = 1024) -> FrameField:
@@ -401,9 +349,23 @@ def overlap_margin(curve: CurveSpec):
 # embedding and metric factors
 
 
-def _twisted_y(r, frame: FrameField, twist: TwistSpec):
-    x, y = float(r[0]), np.asarray(r[1:], dtype=float)
-    return x, twist.rotation(x) @ y
+def _twisted(r, s: float, frame: FrameField, twist: TwistSpec):
+    """(x, ty, u) of points r = (x, y1, y2), an array of shape (..., 3): the
+    twisted offset ty = T_theta(s y) and u = ty . kappa(x)."""
+    r = np.asarray(r, dtype=float)
+    x, y1, y2 = r[..., 0], s * r[..., 1], s * r[..., 2]
+    th = np.asarray(twist.theta(x))
+    c, sn = np.cos(th), np.sin(th)
+    ty = np.stack([c * y1 - sn * y2, sn * y1 + c * y2], axis=-1)
+    return x, ty, np.sum(ty * frame.kappa_vec_at(x), axis=-1)
+
+
+def _refuse_nonpositive(rho, x) -> None:
+    if np.any(rho <= 0.0):
+        i = np.unravel_index(np.argmin(rho), np.shape(rho))
+        raise GeometryError(
+            f"metric factor rho = {rho[i]:.3e} <= 0 at x = {x[i]:.4g}; "
+            "eps too large for this curvature")
 
 
 def embed(r, eps: float, frame: FrameField, twist: TwistSpec) -> np.ndarray:
@@ -411,17 +373,8 @@ def embed(r, eps: float, frame: FrameField, twist: TwistSpec) -> np.ndarray:
     scale the cross-section by eps, twist it, and attach it to the curve
     along the parallel frame.  Refuses points where the metric factor
     rho = 1 - (T_theta eps y . kappa) is not positive."""
-    r = np.asarray(r, dtype=float)
-    x, y1, y2 = r[..., 0], eps * r[..., 1], eps * r[..., 2]
-    th = np.asarray(twist.theta(x))
-    c, s = np.cos(th), np.sin(th)
-    ty = np.stack([c * y1 - s * y2, s * y1 + c * y2], axis=-1)
-    rho = 1.0 - np.sum(ty * frame.kappa_vec_at(x), axis=-1)
-    if np.any(rho <= 0.0):
-        i = np.unravel_index(np.argmin(rho), rho.shape)
-        raise GeometryError(
-            f"metric factor rho = {rho[i]:.3e} <= 0 at x = {x[i]:.4g}; "
-            "eps too large for this curvature")
+    x, ty, u = _twisted(r, eps, frame, twist)
+    _refuse_nonpositive(1.0 - u, x)
     e1, e2 = frame.frame_at(x)
     return frame.curve.c(x) + ty[..., :1] * e1 + ty[..., 1:] * e2
 
@@ -444,29 +397,15 @@ def embed_jacobian_det(r, eps: float, frame: FrameField,
 
 def metric_factors(r, eps: float, frame: FrameField, twist: TwistSpec):
     """Metric factor rho = 1 - eps (T_theta y . kappa) and
-    s = (rho^2 - 1) / (eps rho^2), with the eps -> 0 limit -2 (T_theta y . kappa)."""
-    x, ty = _twisted_y(r, frame, twist)
-    u = float(ty @ frame.kappa_vec_at(x))
+    s = (rho^2 - 1) / (eps rho^2), with the eps -> 0 limit -2 (T_theta y . kappa),
+    at points r of shape (..., 3) as ``embed`` takes them.  Refuses points
+    where rho is not positive."""
+    x, _, u = _twisted(r, 1.0, frame, twist)
     rho = 1.0 - eps * u
-    if rho <= 0.0:
-        raise GeometryError(f"rho = {rho:.3e} <= 0 at x = {x:.4g}")
+    _refuse_nonpositive(rho, x)
     if eps == 0.0:
-        return 1.0, -2.0 * u
-    s = (rho**2 - 1.0) / (eps * rho**2)
-    return rho, s
-
-
-def bending_potential(r, eps: float, frame: FrameField, twist: TwistSpec) -> float:
-    """Attractive potential induced by curvature of the guide axis."""
-    x, ty = _twisted_y(r, frame, twist)
-    kv = frame.kappa_vec_at(x)
-    k2 = float(kv @ kv)
-    rho, _ = metric_factors(r, eps, frame, twist)
-    yk2 = float(ty @ frame.kappa_d2_at(x))
-    yk1 = float(ty @ frame.kappa_d1_at(x))
-    return (-k2 / (4.0 * rho**2)
-            - eps * yk2 / (2.0 * rho**3)
-            - eps**2 * 5.0 * yk1**2 / (4.0 * rho**4))
+        return rho, -2.0 * u
+    return rho, (rho**2 - 1.0) / (eps * rho**2)
 
 
 def geometric_potential(frame: FrameField, twist: TwistSpec,

@@ -114,15 +114,16 @@ class FockBasis:
                    np.arange(self.d)[:, None])
 
 
-def build_basis(d: int, N: int, cap: int = 10**6) -> FockBasis:
-    """Enumerate the symmetric N-particle basis over d modes.
+def build_basis(d: int, N: int) -> FockBasis:
+    """Enumerate the symmetric N-particle basis over d modes, at most 10^6
+    states.
 
     The sorted mode tuples of combinations_with_replacement come in the
     basis order: more particles in the first mode first."""
     if N < 0 or d < 1:
         raise ManyBodyError(f"no Fock basis of N = {N} bosons on "
                             f"d = {d} modes")
-    dim = comb(d + N - 1, N)
+    dim, cap = comb(d + N - 1, N), 10**6
     if dim > cap:
         raise ManyBodyError(
             f"Fock dimension C({d + N - 1},{N}) = {dim} exceeds cap {cap}")
@@ -557,16 +558,3 @@ def mean_field_stationary(h_one, offsets, K, G_x: int, m: int, N: int,
     hphi = _mean_field(h_one, offsets, K, G_x, m, N, len(phi))(phi)
     lam = np.vdot(phi, hphi).real
     return float(lam), float(np.linalg.norm(hphi - lam * phi))
-
-
-def hartree_energy(h_one, offsets, K, G_x: int, m: int, N: int,
-                   phi: np.ndarray) -> float:
-    """Per-particle mean-field energy of a unit phi for the same lattice
-    and kernel: <phi, h phi> + (N-1) sum_t coef_t conj(phi_p phi_q) phi_r
-    phi_s.  phi is not normalized here."""
-    phi = np.asarray(phi, dtype=complex)
-    h_one = _one_body(h_one, len(phi))
-    p, q, r, s, coef = pair_terms(offsets, K, len(phi), G_x, m)
-    e = np.vdot(phi, h_one @ phi).real
-    two = np.dot(coef, np.conj(phi[p] * phi[q]) * phi[r] * phi[s]).real
-    return float(e + (N - 1) * two)

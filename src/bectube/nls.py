@@ -67,10 +67,10 @@ def plane_wave(X: float, G: int, mode: int = 0) -> Wave1D:
     return replace(w, values=np.exp(1j * k * w.x) / np.sqrt(2.0 * X))
 
 
-def gaussian(X: float, G: int, sigma: float = 1.0, x0: float = 0.0,
-             k0: float = 0.0) -> Wave1D:
+def gaussian(X: float, G: int, sigma: float = 1.0) -> Wave1D:
+    """Normalized Gaussian of width sigma centred at x = 0, at rest."""
     w = Wave1D(X, np.zeros(G, dtype=complex))
-    v = np.exp(-((w.x - x0) ** 2) / (2 * sigma**2) + 1j * k0 * w.x)
+    v = np.exp(-(w.x**2) / (2 * sigma**2) + 0j)
     return replace(w, values=v).normalized()
 
 

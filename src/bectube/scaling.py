@@ -3,8 +3,8 @@
 Houses the (N, eps, beta) bookkeeping with the derived coupling a = eps^2/N
 and interaction range mu = a^beta, the classification of parameter sequences
 (admissible / moderately / strongly confining), the scaled two-body potential
-and its Taylor decomposition in a curved guide, the effective 1D interaction
-kernel obtained by integrating out the transverse directions, the mean-field
+and the sampled Taylor remainder of a pair's separation in a curved guide,
+the effective 1D interaction kernel obtained by integrating out the transverse directions, the mean-field
 convolution defect, and the coupling constant of the effective nonlinearity.
 """
 
@@ -115,12 +115,11 @@ def classify_sequence(points: Sequence[ScalingPoint]) -> Classification:
 class PairPotential:
     """Radial pair potential w(r) = wt(|r|^2) supported in the unit ball.
 
-    ``wt`` and its derivative ``dwt`` act on the squared radius; ``mass`` and
-    ``first_moment`` are the closed-form integrals of w and |r| w over R^3.
+    ``wt`` acts on the squared radius; ``mass`` and ``first_moment`` are the
+    closed-form integrals of w and |r| w over R^3.
     """
 
     wt: Callable[[np.ndarray], np.ndarray]
-    dwt: Callable[[np.ndarray], np.ndarray]
     mass: float
     first_moment: float
 
@@ -137,8 +136,7 @@ class PairPotential:
     def scaled(self, factor: float) -> "PairPotential":
         f = float(factor)
         return PairPotential(
-            wt=lambda s: f * self.wt(s), dwt=lambda s: f * self.dwt(s),
-            mass=f * self.mass, first_moment=f * self.first_moment)
+            wt=lambda s: f * self.wt(s), mass=f * self.mass, first_moment=f * self.first_moment)
 
 
 def bump_potential() -> PairPotential:
@@ -148,7 +146,6 @@ def bump_potential() -> PairPotential:
     """
     return PairPotential(
         wt=lambda s: np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** 3, 0.0),
-        dwt=lambda s: np.where(s < 1.0, -3.0 * (1.0 - np.minimum(s, 1.0)) ** 2, 0.0),
         mass=64.0 * np.pi / 315.0,
         first_moment=np.pi / 10.0,
     )
@@ -178,47 +175,24 @@ def _remainder(r1, r2, eps: float, mu: float, frame: FrameField,
 
 @dataclass
 class TaylorDecomposition:
-    """Split of the scaled interaction (per particle-pair, without the N-1
-    mean-field prefactor) into a straight-guide part, a first-order
-    correction, and the exact remainder."""
+    """Sampled supremum of the remainder R of the squared embedded pair
+    separation, the part of the scaled interaction's argument that the
+    straight-guide scaling r -> r_eps misses."""
 
-    eps: float
-    mu: float
-    w: PairPotential
-    frame: FrameField
-    twist: TwistSpec
     rbar: float                     # sampled sup |R| over the support
     rbar_samples: int
 
-    def exact(self, r1, r2):
-        d = (embed(r1, self.eps, self.frame, self.twist)
-             - embed(r2, self.eps, self.frame, self.twist))
-        return self.eps**2 / self.mu**3 * float(self.w(d / self.mu))
 
-    def w0(self, r1, r2):
-        d = _r_eps(r1, self.eps) - _r_eps(r2, self.eps)
-        return self.eps**2 / self.mu**3 * float(self.w(d / self.mu))
-
-    def t1(self, r1, r2):
-        d = _r_eps(r2, self.eps) - _r_eps(r1, self.eps)
-        s = float(d @ d) / self.mu**2
-        if s >= 1.0:
-            return 0.0
-        R, _ = _remainder(r1, r2, self.eps, self.mu, self.frame, self.twist)
-        return float(R) * self.eps**2 / self.mu**3 * float(self.w.dwt(s))
-
-    def t2(self, r1, r2):
-        return self.exact(r1, r2) - self.w0(r1, r2) - self.t1(r1, r2)
-
-
-def taylor_decompose(w: PairPotential, sp: ScalingPoint, frame: FrameField,
-                     twist: TwistSpec,
+def taylor_decompose(sp: ScalingPoint, frame: FrameField, twist: TwistSpec,
                      n_samples: int = 10_000) -> TaylorDecomposition:
-    """Decompose the scaled interaction and sample the remainder supremum.
+    """Sample the remainder supremum at the point sp (any object with
+    ``eps`` and ``mu``).
 
     The remainder only matters on the interaction support, so ``rbar`` is the
     supremum of |R| over a quasi-random cloud of pairs with |y| <= 0.5 in
     each transverse coordinate, restricted to ||f_eps(r1) - f_eps(r2)|| < mu.
+    On a straight untwisted guide the embedding is the scaling itself, and R
+    is exactly 0.
     """
     # scipy.stats costs about 0.4 s to import and only this sampler uses it
     from scipy.stats import qmc
@@ -247,12 +221,7 @@ def taylor_decompose(w: PairPotential, sp: ScalingPoint, frame: FrameField,
     on_support = np.linalg.norm(df, axis=-1) < mu
     R = R[on_support]
     rbar = float(np.max(np.abs(R))) if len(R) else 0.0
-
-    straight = frame.orthonormality_defect() < 1e-12 and np.max(frame.kappa) < 1e-14
-    if straight and np.max(np.abs(twist.theta(frame.x))) < 1e-14:
-        rbar = 0.0
-    return TaylorDecomposition(eps=eps, mu=mu, w=w, frame=frame, twist=twist,
-                               rbar=rbar, rbar_samples=int(on_support.sum()))
+    return TaylorDecomposition(rbar=rbar, rbar_samples=int(on_support.sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -366,19 +335,14 @@ def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
 
 
 def effective_kernel(modes: TransverseModes, w: PairPotential,
-                     eps: float, mu: float, n_x: int = None):
+                     eps: float, mu: float):
     """Effective 1D kernel obtained by integrating the scaled interaction
     against |chi_0|^2 in both transverse arguments: ``pair_kernel`` of the
-    ground mode on n_x points of [-mu, mu].
+    ground mode on 33 points of [-mu, mu], spacing mu/16.
 
     Returns (x_grid, kernel_values, mass).
     """
-    if n_x is None:
-        n_x = 33
-    dx = 2.0 * mu / (n_x - 1)
-    if dx > mu / 4.0:
-        raise ScalingError("x-grid coarser than mu/4: kernel unresolved")
-    x = np.linspace(-mu, mu, n_x)
+    x = np.linspace(-mu, mu, 33)
     vals = pair_kernel(modes.chi[:1], modes.cs.h, w, eps, mu, x)[:, 0, 0, 0, 0]
     mass = float(np.trapezoid(vals, x))
     return x, vals, mass

@@ -81,22 +81,22 @@ def rectangle(a: float, b: float, n: int = 128, vperp=None) -> CrossSection:
     return CrossSection("rectangle", y1, y2, mask, _sample_vperp(vperp, y1, y2))
 
 
-def disk(radius: float = 1.0, n: int = 128, vperp=None) -> CrossSection:
+def disk(radius: float = 1.0, n: int = 128) -> CrossSection:
     """Disk of given radius centered at the origin."""
     R = float(radius)
     y1, y2 = _grid((-R, R), (-R, R), n)
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
     mask = Y1**2 + Y2**2 < R**2
-    return CrossSection("disk", y1, y2, mask, _sample_vperp(vperp, y1, y2),
+    return CrossSection("disk", y1, y2, mask, np.zeros(mask.shape),
                         levelset=lambda p1, p2: p1**2 + p2**2 - R**2)
 
 
-def ellipse(a: float, b: float, n: int = 128, vperp=None) -> CrossSection:
+def ellipse(a: float, b: float, n: int = 128) -> CrossSection:
     """Ellipse with semi-axes a, b centered at the origin."""
     y1, y2 = _grid((-a, a), (-b, b), n)
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
     mask = (Y1 / a) ** 2 + (Y2 / b) ** 2 < 1.0
-    return CrossSection("ellipse", y1, y2, mask, _sample_vperp(vperp, y1, y2),
+    return CrossSection("ellipse", y1, y2, mask, np.zeros(mask.shape),
                         levelset=lambda p1, p2: (p1 / a) ** 2 + (p2 / b) ** 2 - 1.0)
 
 

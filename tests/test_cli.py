@@ -78,12 +78,20 @@ class TestConfig:
         {"solver": {"G_x": 0}}, {"solver": {"G_x": 2}},
         {"solver": {"G_x": 4.0}}, {"solver": {"T": 0.0}},
         {"solver": {"T": -1.0}}, {"cross_section": {"m": 0}},
-        {"cross_section": {"m": 1.5}},
+        {"cross_section": {"m": 1.5}}, {"scaling": {"N": 2.5}},
+        {"scaling": {"N": "4"}}, {"scaling": {"N": True}},
+        {"scaling": {"N": 0}}, {"solver": {"dt": "a"}},
+        {"cross_section": {"n": "127"}}, {"solver": {"initial": "foo"}},
     ], ids=["dx_negative", "dx_zero", "G_x_zero", "G_x_two", "G_x_float",
-            "T_zero", "T_negative", "m_zero", "m_float"])
+            "T_zero", "T_negative", "m_zero", "m_float", "N_float",
+            "N_string", "N_bool", "N_zero", "dt_string", "n_string",
+            "initial_unknown"])
     def test_out_of_range_is_config_error(self, outdir, tmp_path, patch):
         # a negative dx silently dropped the interaction, G_x = 0 ended in
-        # a traceback, and G_x < 3 merged a site's two bonds into one entry
+        # a traceback, and G_x < 3 merged a site's two bonds into one entry;
+        # a string for a number ended in a TypeError, N = 2.5 or true ran as
+        # an integer, N = 0 exited as a numerical failure, and an unknown
+        # initial wave ran a Gaussian
         ((section, table),) = patch.items()
         ((key, _),) = table.items()
         p = tmp_path / "c.json"

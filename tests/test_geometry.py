@@ -163,28 +163,6 @@ class TestPotentials:
         with pytest.raises(geo.GeometryError):
             geo.geometric_potential(fr, geo.no_twist(), -1.0)
 
-    def test_bending_potential_eps0_limit(self):
-        fr = frame_for(geo.circle(2.0))
-        r = np.array([fr.x[len(fr.x) // 2], 0.1, -0.2])
-        v = geo.bending_potential(r, 0.0, fr, geo.no_twist())
-        assert np.isclose(v, -0.5**2 / 4.0, atol=1e-8)  # kappa = 1/2
-
-    def test_curvature_derivatives_computed_once(self, monkeypatch):
-        calls = []
-        fd = geo._fd_derivative
-
-        def counting(*args):
-            calls.append(args[2])
-            return fd(*args)
-
-        monkeypatch.setattr(geo, "_fd_derivative", counting)
-        fr = frame_for(geo.circle(2.0), n=256)
-        for y in (0.1, 0.2, 0.3):
-            geo.bending_potential(np.array([fr.x[100], y, -y]), 0.1, fr,
-                                  geo.no_twist())
-        # one call per curvature component and derivative order
-        assert sorted(calls) == [1, 1, 2, 2]
-
 
 class TestMetricFactors:
     def test_rho_formula(self):
@@ -235,10 +213,34 @@ class TestMetricFactors:
         assert f.shape == (4, 5, 3)
         for idx in np.ndindex(4, 5):
             x, y = r[idx][0], r[idx][1:]
-            ty = 0.1 * twist.rotation(x) @ y
+            c, s = np.cos(0.5 * x), np.sin(0.5 * x)
+            ty = 0.1 * np.array([c * y[0] - s * y[1], s * y[0] + c * y[1]])
             e1, e2 = fr.frame_at(x)
             expected = fr.curve.c(x) + ty[0] * e1 + ty[1] * e2
             assert np.allclose(f[idx], expected, rtol=0, atol=1e-14)
+
+    def test_metric_factors_map_point_arrays(self):
+        fr = frame_for(geo.helix(1.0, 1.0), n=256)
+        twist = geo.linear_twist(0.5)
+        rng = np.random.default_rng(1)
+        r = rng.uniform(-0.5, 0.5, (4, 5, 3))
+        r[..., 0] += fr.x[128]
+        for eps in (0.0, 0.1, 0.3):
+            rho, s = geo.metric_factors(r, eps, fr, twist)
+            assert rho.shape == s.shape == (4, 5)
+            for idx in np.ndindex(4, 5):
+                assert np.allclose(geo.metric_factors(r[idx], eps, fr, twist),
+                                   (rho[idx], s[idx]), rtol=1e-12, atol=0)
+
+    def test_metric_factors_refuse_nonpositive_rho_in_array(self):
+        fr = frame_for(geo.circle(0.5))  # kappa = 2
+        x = fr.x[len(fr.x) // 2]
+        kv = fr.kappa_vec_at(x)
+        r = np.zeros((4, 5, 3))
+        r[..., 0] = x
+        r[2, 3, 1:] = 2.0 * kv / (kv @ kv)  # rho < 0 at eps = 1
+        with pytest.raises(geo.GeometryError, match="rho"):
+            geo.metric_factors(r, 1.0, fr, geo.no_twist())
 
     def test_embed_refuses_nonpositive_rho(self):
         fr = frame_for(geo.circle(0.5))  # kappa = 2
@@ -270,12 +272,17 @@ class TestOverlapMargin:
         assert not feasible
 
 
-@given(rate=st.floats(-2.0, 2.0), x=st.floats(-5.0, 5.0))
+@given(rate=st.floats(-2.0, 2.0), i=st.integers(0, 255),
+       y1=st.floats(-0.4, 0.4), y2=st.floats(-0.4, 0.4))
 @settings(max_examples=40, deadline=None)
-def test_twist_rotation_orthogonal(rate, x):
-    R = geo.linear_twist(rate).rotation(x)
-    assert np.allclose(R @ R.T, np.eye(2), atol=1e-12)
-    assert np.isclose(np.linalg.det(R), 1.0)
+def test_twist_rotation_orthogonal(rate, i, y1, y2):
+    # the twist is a rotation of the cross-section: at a frame node, where
+    # e1 and e2 are orthonormal, the embedded point lies eps |y| from c(x)
+    fr, eps = _CIRCLE_FRAME, 0.1
+    x = fr.x[i]
+    f = geo.embed(np.array([x, y1, y2]), eps, fr, geo.linear_twist(rate))
+    assert np.isclose(np.linalg.norm(f - fr.curve.c(x)), eps * np.hypot(y1, y2),
+                      rtol=1e-12, atol=1e-15)
 
 
 @given(y1=st.floats(-0.4, 0.4), y2=st.floats(-0.4, 0.4),

@@ -21,7 +21,7 @@ class TestWave1D:
             nls.Wave1D(8.0, np.zeros(100, dtype=complex))
 
     def test_gaussian_normalized(self):
-        w = nls.gaussian(8.0, 512, sigma=0.8, x0=1.0, k0=2.0)
+        w = nls.gaussian(8.0, 512, sigma=0.8)
         assert np.isclose(w.mass(), 1.0)
 
     def test_boundary_mass_small_for_centered_packet(self):

@@ -1,9 +1,11 @@
-"""Every top-level name of ``bectube`` has a caller in the program.
+"""Every top-level name of ``bectube`` has a caller in the program, and so
+has every defaulted parameter.
 
 A public function that only tests call is either a reference implementation
 that the tests compare a product path against, listed in KEPT_ORACLES, or a
 duplicate path that should go.  A private one is a duplicate path: the tests
-compare against their own oracles.
+compare against their own oracles.  A default that no program call
+overrides is a constant.
 """
 
 import ast
@@ -15,7 +17,10 @@ ROOT = Path(__file__).resolve().parents[1]
 # eigensolve of a cross-section with holes
 KEPT_ORACLES = ("convolution_defect_direct", "overlap_tensor",
                 "rayleigh_residual", "masked", "embed_jacobian_det",
-                "bending_potential", "hat_dynamics_check")
+                "hat_dynamics_check")
+
+# defaults that only a benchmark reads: bench/tracer.py's hook records n_xi
+BENCH_READ_DEFAULTS = {("convolution_defect", "n_xi")}
 
 
 def top_level_names():
@@ -65,3 +70,43 @@ def test_every_private_name_has_a_program_caller():
     _, private = top_level_names()
     unreached = private - referenced_names("src", "demos", "bench")
     assert sorted(unreached) == []
+
+
+def program_calls():
+    """Name -> the calls under src/, demos/ and bench/ of a function or
+    method of that name."""
+    calls = {}
+    for d in ("src", "demos", "bench"):
+        for path in (ROOT / d).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = getattr(f, "id", None) or getattr(f, "attr", None)
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_default_has_a_program_caller():
+    calls = program_calls()
+    unset = []
+    for path in (ROOT / "src" / "bectube").glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if (not isinstance(fn, ast.FunctionDef)
+                    or fn.name in KEPT_ORACLES):
+                continue
+            a = fn.args
+            pos = [p.arg for p in a.posonlyargs + a.args]
+            defaulted = pos[len(pos) - len(a.defaults):] if a.defaults else []
+            defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            if pos[:1] in (["self"], ["cls"]):
+                pos = pos[1:]
+            for name in defaulted:
+                if (fn.name, name) in BENCH_READ_DEFAULTS:
+                    continue
+                if not any(any(k.arg == name for k in call.keywords)
+                           or (name in pos
+                               and pos.index(name) < len(call.args))
+                           for call in calls.get(fn.name, [])):
+                    unset.append(f"{path.name}:{fn.name}({name})")
+    assert sorted(unset) == []

@@ -97,26 +97,6 @@ class TestPairPotential:
         assert w(np.zeros(3)) == 3.0
 
 
-class TestScaledPair:
-    # in the straight guide the scaled interaction of a pair is
-    # TaylorDecomposition.w0 = (eps^2/mu^3) w((r_eps(r1) - r_eps(r2)) / mu)
-    def test_straight_guide_value(self, line_frame):
-        p = sc.scaling_params(10, 0.5, 0.25)
-        w = sc.bump_potential()
-        td = sc.taylor_decompose(w, p, line_frame, geo.no_twist(),
-                                 n_samples=100)
-        r1 = np.array([0.0, 0.1, 0.0])
-        r2 = np.array([0.3 * p.mu, 0.1, 0.0])
-        expected = p.eps**2 / p.mu**3 * w.wt(np.array(0.09))
-        assert np.isclose(td.w0(r1, r2), expected)
-
-    def test_out_of_range_zero(self, line_frame):
-        p = sc.scaling_params(10, 0.5, 0.25)
-        td = sc.taylor_decompose(sc.bump_potential(), p, line_frame,
-                                 geo.no_twist(), n_samples=100)
-        assert td.w0(np.zeros(3), np.array([2.0 * p.mu, 0, 0])) == 0.0
-
-
 @pytest.fixture(scope="module")
 def line_frame():
     return geo.bishop_frame(geo.line(), n_nodes=256)
@@ -137,37 +117,33 @@ class TestTaylorDecomposition:
 
     def test_straight_guide_remainder_vanishes(self, line_frame):
         p = sc.scaling_params(10, 0.1, 0.25)
-        td = sc.taylor_decompose(sc.bump_potential(), p, line_frame,
-                                 geo.no_twist(), n_samples=2000)
-        assert td.rbar == 0.0
+        td = sc.taylor_decompose(p, line_frame, geo.no_twist(), n_samples=2000)
+        assert td.rbar == 0.0 and td.rbar_samples > 0
         # the embedding of the straight guide is the scaling r -> r_eps, so
-        # the interaction is w0 and the first-order term vanishes
+        # the remainder vanishes on every pair, on the interaction support
+        # and off it
         rng = np.random.default_rng(0)
         r1 = np.column_stack([rng.uniform(-4.0, 4.0, 50),
                               rng.uniform(-0.5, 0.5, (50, 2))])
         r2 = r1 + rng.uniform(-0.5, 0.5, (50, 3)) * [p.mu, p.mu / p.eps,
                                                      p.mu / p.eps]
-        assert any(td.w0(a, b) > 0.0 for a, b in zip(r1, r2))
-        for a, b in zip(r1, r2):
-            assert td.exact(a, b) == td.w0(a, b)
-            assert td.t1(a, b) == 0.0
+        R, df = sc._remainder(r1, r2, p.eps, p.mu, line_frame, geo.no_twist())
+        assert np.any(np.linalg.norm(df, axis=-1) < p.mu)
+        assert np.all(R == 0.0)
 
     def test_curved_guide_decomposition(self, circle_frame):
         p = sc.scaling_params(10, 0.1, 0.25)
-        td = sc.taylor_decompose(sc.bump_potential(), p, circle_frame,
-                                 geo.no_twist(), n_samples=4000)
+        td = sc.taylor_decompose(p, circle_frame, geo.no_twist(),
+                                 n_samples=4000)
         assert td.rbar > 0.0 and td.rbar_samples > 0
-        x0 = circle_frame.x[len(circle_frame.x) // 2]
-        r1 = np.array([x0, 0.1, 0.0])
-        r2 = np.array([x0 + 0.3 * p.mu, -0.1, 0.05])
-        # first-order term captures most of the curvature correction
-        assert abs(td.t2(r1, r2)) <= abs(td.t1(r1, r2)) + 1e-12
 
     def test_accepts_plain_namespace(self, circle_frame):
-        p = types.SimpleNamespace(eps=0.1, mu=0.2)
-        td = sc.taylor_decompose(sc.bump_potential(), p, circle_frame,
-                                 geo.no_twist(), n_samples=1000)
-        assert td.eps == 0.1 and td.mu == 0.2
+        p = sc.scaling_params(10, 0.1, 0.25)
+        td = sc.taylor_decompose(types.SimpleNamespace(eps=p.eps, mu=p.mu),
+                                 circle_frame, geo.no_twist(), n_samples=1000)
+        assert td == sc.taylor_decompose(p, circle_frame, geo.no_twist(),
+                                         n_samples=1000)
+        assert td.rbar > 0.0
 
 
 class TestFullConvolve:
@@ -275,11 +251,6 @@ class TestEffectiveKernel:
         _, _, mass = sc.effective_kernel(modes, w, eps=0.5, mu=0.025)
         assert abs(mass - b) / b < 0.05
 
-    def test_unresolved_grid_rejected(self, modes):
-        with pytest.raises(sc.ScalingError, match="unresolved"):
-            sc.effective_kernel(modes, sc.bump_potential(), eps=0.5, mu=0.1,
-                                n_x=5)
-
 
 class TestCoupling:
     def test_b_values(self):
@@ -303,7 +274,7 @@ class TestConvolutionDefect:
     @pytest.mark.parametrize("wt", [sc.bump_potential().wt,
                                     lambda s: np.exp(-3.0 * s)])
     def test_radial_table_matches_quadrature(self, wt):
-        w = sc.PairPotential(wt=wt, dwt=None, mass=0.0, first_moment=0.0)
+        w = sc.PairPotential(wt=wt, mass=0.0, first_moment=0.0)
         table = sc._radial_ft_table(w, k_max=60.0)
         for k in np.linspace(0.0, 60.0, 4096)[::455]:
             ref = 4 * np.pi * quad(
