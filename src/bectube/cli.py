@@ -148,15 +148,26 @@ def _validate(cfg: dict) -> dict:
     sv = cfg["solver"]
     if sv["initial"] not in ("ground", "gaussian"):
         raise ConfigError("solver.initial must be ground or gaussian")
-    # a dx <= 0 would empty the kernel's offsets and drop the interaction
-    for key in ("dx", "T"):
-        if not 0.0 < sv[key] < np.inf:
-            raise ConfigError(f"solver.{key} must be a positive number")
-    # one_body_matrix's two bonds of a site coincide below 3 sites
-    if sv["G_x"] < 3:
-        raise ConfigError("solver.G_x must be an integer, at least 3")
-    if cfg["cross_section"]["m"] < 1:
-        raise ConfigError("cross_section.m must be an integer, at least 1")
+    # a dx <= 0 would empty the kernel's offsets and drop the interaction,
+    # and so would a radius <= 0 through a reversed cross-section grid
+    for section, key in (("solver", "X"), ("solver", "dx"), ("solver", "T"),
+                         ("cross_section", "a"), ("cross_section", "b"),
+                         ("cross_section", "radius")):
+        if not 0.0 < cfg[section][key] < np.inf:
+            raise ConfigError(f"{section}.{key} must be a positive number")
+    if not 0.0 < cfg["converge"]["eps0"] <= 1.0:
+        raise ConfigError("converge.eps0 must lie in (0, 1]")
+    if sv["G"] < 1 or sv["G"] & (sv["G"] - 1):
+        raise ConfigError("solver.G must be a power of two")
+    # one_body_matrix's two bonds of a site coincide below 3 sites, and the
+    # guide's cubic splines need 4 nodes
+    for section, key, least in (("solver", "G_x", 3),
+                                ("geometry", "n_nodes", 4),
+                                ("cross_section", "n", 1),
+                                ("cross_section", "m", 1)):
+        if cfg[section][key] < least:
+            raise ConfigError(f"{section}.{key} must be an integer, at "
+                              f"least {least}")
     Ns = cfg["converge"]["N_list"]
     if not (isinstance(Ns, list) and len(Ns) >= 2
             and all(type(N) is int and N >= 2 for N in Ns)
@@ -380,43 +391,6 @@ def _lattice(cfg: dict, N: int, eps: float, modes):
     return spb, offsets, K, h_one, phi0
 
 
-# phi0 counts as stationary when its residual under its own mean field is
-# round-off: at most STATIONARY_RTOL times the one-body matrix's norm, which
-# grows as 1/eps^2 and 1/dx^2
-STATIONARY_RTOL = 1e-12
-
-
-def _stationarity(spb, offsets, K, h_one, N: int, phi0):
-    """(residual, bound): phi0's residual under its own mean field and the
-    largest residual that counts as stationary."""
-    _, residual = manybody.mean_field_stationary(h_one, offsets, K, spb.G_x,
-                                                 spb.m, N, phi0)
-    return residual, STATIONARY_RTOL * max(1.0, np.linalg.norm(h_one, 1))
-
-
-def _mean_field_refs(spb, offsets, K, h_one, N: int, phi0, T: float,
-                     steps: int) -> list:
-    """condensate_ref of the Hartree solution from phi0 at the times
-    k T / steps, k = 0..steps.
-
-    On the translation-invariant lattice phi0 is a stationary Hartree
-    solution when no excited transverse mode among the first m couples to
-    the ground mode, e.g. when each of them is odd under some symmetry of
-    the cross-section; its projector is then the reference at every time.
-    That is checked.  Where phi0's residual is above round-off (a square at
-    m >= 5, whose (1, 3) and (3, 1) modes are even under every symmetry)
-    the reference is integrated by ``hartree_evolve`` instead."""
-    residual, bound = _stationarity(spb, offsets, K, h_one, N, phi0)
-    if residual <= bound:
-        return [condensation.condensate_ref(phi0)] * (steps + 1)
-    # Hartree steps of at most min(1e-3, T/1000), rounded up to a multiple
-    # of the frame count: frame k is Hartree frame k * stride
-    stride = -(-manybody._steps(T, min(1e-3, T / 1000))[0] // steps)
-    hart = manybody.hartree_evolve(h_one, offsets, K, spb.G_x, spb.m, N, phi0,
-                                   T=T, dt=T / (stride * steps))
-    return [condensation.condensate_ref(phi) for _, phi in hart[::stride]]
-
-
 def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     """One (N, eps) run: exact evolution from the condensate of phi0, with
     condensation observables against the mean-field reference at the
@@ -430,14 +404,15 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     steps = 10
     frames = manybody.evolve_state(basis, H, psi0, T=T, dt=T / steps,
                                    store_every=1)
-    refs = _mean_field_refs(spb, offsets, K, h_one, N, phi0, T, steps)
-    # e_phi, the Hartree energy of ref.phi, is the many-body energy per
-    # particle of its condensate; the reference at t = 0 is phi0's, whose
-    # condensate is psi0, and a stationary phi0 keeps it at every time
+    # Hartree steps of at most min(1e-3, T/1000), rounded up to a multiple
+    # of the frame count: frame k is Hartree frame k * stride
+    stride = -(-manybody._steps(T, min(1e-3, T / 1000))[0] // steps)
+    hart = manybody.hartree_evolve(h_one, offsets, K, spb.G_x, spb.m, N, phi0,
+                                   T=T, dt=T / (stride * steps))
+    # e_phi, the Hartree energy of the reference, is the many-body energy per
+    # particle of its condensate: psi0's at t = 0, and the Hartree flow
+    # conserves it
     e0 = manybody.energy_per_particle(basis, psi0, H)
-    e_phis = [e0 if ref is refs[0] else manybody.energy_per_particle(
-                  basis, manybody.condensate_state(basis, ref.phi), H)
-              for ref in refs]
 
     xi = cfg["scaling"]["xi"]
     mweight = condensation.weight_m(N, xi)
@@ -445,7 +420,8 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     # on the static lattice
     g = float(np.sqrt(1.0 + abs(e0)))
     rows = []
-    for (tpsi, psi), ref, e_phi in zip(frames, refs, e_phis):
+    for (tpsi, psi), (_, phi) in zip(frames, hart[::stride]):
+        ref = condensation.condensate_ref(phi)
         pk = condensation.sector_weights(basis, ref, psi)
         a_n2 = float(np.dot(condensation.weight_n(N, 2.0).table, pk))
         a_m = float(np.dot(mweight.table, pk))
@@ -454,8 +430,8 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
         tdist = manybody.trace_distance(g1, ref.projector)
         rows.append({
             "t": tpsi, "alpha_n2": a_n2, "alpha_m": a_m,
-            "alpha_xi": condensation.alpha_xi_value(a_m, e_psi, e_phi),
-            "trace_dist": tdist, "e_psi": e_psi, "e_phi": e_phi,
+            "alpha_xi": condensation.alpha_xi_value(a_m, e_psi, e0),
+            "trace_dist": tdist, "e_psi": e_psi, "e_phi": e0,
             "excitation": manybody.excitation_probability(basis, psi, spb),
             "g": g,
         })
@@ -765,8 +741,9 @@ def _verify_registry():
         N = cfg["scaling"]["N"]
         spb, offsets, K, h_one, phi0 = _lattice(cfg, N, cfg["scaling"]["eps"],
                                                 build_modes(cfg))
-        d, bound = _stationarity(spb, offsets, K, h_one, N, phi0)
-        return d <= bound, d
+        _, d = manybody.mean_field_stationary(h_one, offsets, K, spb.G_x,
+                                              spb.m, N, phi0)
+        return d <= manybody.stationary_bound(h_one), d
 
     @add("condensation", "operator_algebra")
     def _():

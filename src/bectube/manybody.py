@@ -513,18 +513,34 @@ def _mean_field(h_one, offsets, K, G_x: int, m: int, N: int,
     return apply
 
 
+def stationary_bound(h_one) -> float:
+    """The largest mean-field residual that counts as stationary: round-off,
+    1e-12 times the 1-norm of the one-body matrix, which grows as 1/eps^2
+    and 1/dx^2."""
+    return 1e-12 * max(1.0, np.linalg.norm(h_one, 1))
+
+
 def hartree_evolve(h_one, offsets, K, G_x: int, m: int, N: int,
                    phi0: np.ndarray, T: float, dt: float = 1e-3):
     """Mean-field (Hartree) evolution of a one-body vector under the same
     lattice and kernel as the many-body model.
 
-    i dphi/dt = H_mf(phi) phi (see ``_mean_field``), integrated by RK4.
-    Returns a list of (t, phi) frames at every step.
+    i dphi/dt = H_mf(phi) phi (see ``_mean_field``) from the normalized
+    phi0.  Returns a list of (t, phi) frames at every step, t accumulated by
+    repeated addition of the step.  A phi0 whose residual under its own mean
+    field (``mean_field_stationary``) is at most ``stationary_bound`` is a
+    stationary solution: its frames are exp(-i lambda t) phi0, exact, and
+    no step is integrated.  Any other phi0 is integrated by RK4.
     """
     h_mf = _mean_field(h_one, offsets, K, G_x, m, N, len(phi0))
     phi = np.asarray(phi0, dtype=complex)
     phi = phi / np.linalg.norm(phi)
-    return _rk4(lambda t, v: -1j * h_mf(v), phi, *_steps(T, dt))
+    n_steps, dt = _steps(T, dt)
+    lam, residual = _rayleigh(h_mf, phi)
+    if residual > stationary_bound(h_one):
+        return _rk4(lambda t, v: -1j * h_mf(v), phi, n_steps, dt)
+    t = np.cumsum(np.concatenate([[0.0], np.full(n_steps, dt)]))
+    return list(zip(t.tolist(), np.exp(-1j * lam * t)[:, None] * phi))
 
 
 def _rk4(rhs: Callable, phi: np.ndarray, n_steps: int, dt: float) -> list:
@@ -544,6 +560,13 @@ def _rk4(rhs: Callable, phi: np.ndarray, n_steps: int, dt: float) -> list:
     return frames
 
 
+def _rayleigh(h_mf: Callable, phi: np.ndarray):
+    """(lambda, residual) of a unit phi under the mean field h_mf."""
+    hphi = h_mf(phi)
+    lam = np.vdot(phi, hphi).real
+    return float(lam), float(np.linalg.norm(hphi - lam * phi))
+
+
 def mean_field_stationary(h_one, offsets, K, G_x: int, m: int, N: int,
                           phi: np.ndarray):
     """(lambda, residual) of a unit phi under its own static mean field:
@@ -555,6 +578,4 @@ def mean_field_stationary(h_one, offsets, K, G_x: int, m: int, N: int,
     from phi, so its projector |phi><phi| is the mean-field reference at
     every time."""
     phi = np.asarray(phi, dtype=complex)
-    hphi = _mean_field(h_one, offsets, K, G_x, m, N, len(phi))(phi)
-    lam = np.vdot(phi, hphi).real
-    return float(lam), float(np.linalg.norm(hphi - lam * phi))
+    return _rayleigh(_mean_field(h_one, offsets, K, G_x, m, N, len(phi)), phi)

@@ -82,16 +82,24 @@ class TestConfig:
         {"scaling": {"N": "4"}}, {"scaling": {"N": True}},
         {"scaling": {"N": 0}}, {"solver": {"dt": "a"}},
         {"cross_section": {"n": "127"}}, {"solver": {"initial": "foo"}},
+        {"cross_section": {"radius": -1.0}}, {"cross_section": {"a": 0.0}},
+        {"cross_section": {"b": float("inf")}}, {"geometry": {"n_nodes": 1}},
+        {"converge": {"eps0": 2.0}}, {"solver": {"X": -8.0}},
+        {"solver": {"G": 100}}, {"cross_section": {"n": 0}},
     ], ids=["dx_negative", "dx_zero", "G_x_zero", "G_x_two", "G_x_float",
             "T_zero", "T_negative", "m_zero", "m_float", "N_float",
             "N_string", "N_bool", "N_zero", "dt_string", "n_string",
-            "initial_unknown"])
+            "initial_unknown", "radius_negative", "a_zero", "b_infinite",
+            "n_nodes_one", "eps0_above_one", "X_negative",
+            "G_not_power_of_two", "n_zero"])
     def test_out_of_range_is_config_error(self, outdir, tmp_path, patch):
         # a negative dx silently dropped the interaction, G_x = 0 ended in
         # a traceback, and G_x < 3 merged a site's two bonds into one entry;
         # a string for a number ended in a TypeError, N = 2.5 or true ran as
         # an integer, N = 0 exited as a numerical failure, and an unknown
-        # initial wave ran a Gaussian
+        # initial wave ran a Gaussian; a disk of radius -1 ran with no
+        # interaction support, one guide node ended in a traceback, and
+        # eps0 = 2, X = -8, G = 100 and n = 0 exited as numerical failures
         ((section, table),) = patch.items()
         ((key, _),) = table.items()
         p = tmp_path / "c.json"
@@ -452,8 +460,9 @@ class TestRunSetup:
             return apply(*args, **kwargs)
 
         monkeypatch.setattr(cli.manybody, "lanczos_expm_apply", counting)
-        monkeypatch.setattr(cli.manybody, "hartree_evolve",
-                            lambda *a, **k: calls.append("hartree"))
+        # the stationary reference takes no RK4 step
+        monkeypatch.setattr(cli.manybody, "_rk4",
+                            lambda *a, **k: calls.append("rk4"))
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"cross_section": {"n": 31, "m": 2},
                                  "solver": {"G_x": 4}, "scaling": {"N": 2}}))
@@ -479,15 +488,16 @@ class TestStationaryReference:
         return cli.load_config(p)
 
     def run(self, cfg, modes, monkeypatch, eps=0.25):
-        """_manybody_point at N = 2 with the Hartree runs it makes."""
+        """_manybody_point at N = 2 with the RK4 runs of its Hartree
+        reference."""
         runs = []
-        evolve = cli.manybody.hartree_evolve
+        rk4 = cli.manybody._rk4
 
         def recording(*args, **kwargs):
-            runs.append(evolve(*args, **kwargs))
+            runs.append(rk4(*args, **kwargs))
             return runs[-1]
 
-        monkeypatch.setattr(cli.manybody, "hartree_evolve", recording)
+        monkeypatch.setattr(cli.manybody, "_rk4", recording)
         cfg["cross_section"]["m"] = len(modes.energies)
         return cli._manybody_point(cfg, 2, eps, modes, T=1.0), runs
 
@@ -508,7 +518,10 @@ class TestStationaryReference:
         assert len(rows) == 11 and len(hart) == 10 * stride + 1
         assert max(abs(r["t"] - hart[k * stride][0])
                    for k, r in enumerate(rows)) < 1e-12
-        assert len({r["e_phi"] for r in rows}) > 1
+        # e_phi is the conserved Hartree energy, so alpha_xi - alpha_m is
+        # |e_psi - e_phi|, the exact propagator's round-off, and no RK4 error
+        assert len({r["e_phi"] for r in rows}) == 1
+        assert max(r["alpha_xi"] - r["alpha_m"] for r in rows) <= 1e-14
 
     def test_one_transverse_mode_stationary(self, tmp_path, monkeypatch):
         # with one transverse mode translation invariance alone makes the

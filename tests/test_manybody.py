@@ -567,18 +567,32 @@ class TestObservables:
         assert mb.excitation_probability(s["basis"], psi, s["spb"]) < 1e-14
 
 
+def _wave_start(s):
+    """phi0 times a density wave along x, in the transverse ground mode: not
+    stationary, so ``hartree_evolve`` integrates it by RK4."""
+    g = np.arange(len(s["phi0"])) // 2
+    phi = s["phi0"] * (1 + 0.3 * np.cos(2 * np.pi * g / 6))
+    phi /= np.linalg.norm(phi)
+    _, residual = mb.mean_field_stationary(s["h"], s["offsets"], s["K"], 6, 2,
+                                           3, phi)
+    assert residual > mb.stationary_bound(s["h"])
+    return phi
+
+
 class TestHartree:
     def test_norm_conserved(self, small_system):
         s = small_system
         frames = mb.hartree_evolve(s["h"], s["offsets"], s["K"], 6, 2, 3,
-                                   s["phi0"], T=0.5, dt=2e-3)
+                                   _wave_start(s), T=0.5, dt=2e-3)
         norms = [np.linalg.norm(v) for _, v in frames]
         assert max(abs(n - 1.0) for n in norms) < 1e-8
+        # the wave moves: the last frame has left the start's ray
+        assert abs(np.vdot(frames[0][1], frames[-1][1])) < 0.99
 
     def test_energy_conserved(self, small_system):
         s = small_system
         frames = mb.hartree_evolve(s["h"], s["offsets"], s["K"], 6, 2, 3,
-                                   s["phi0"], T=0.5, dt=2e-3)
+                                   _wave_start(s), T=0.5, dt=2e-3)
         # the Hartree energy of v is the many-body energy of its condensate
         e = [mb.energy_per_particle(
                  s["basis"], mb.condensate_state(s["basis"], v), s["H"])
@@ -635,13 +649,27 @@ class TestStationaryReference:
         return dict(args=(h, offsets, K, spb.G_x, spb.m, N), phi0=phi0)
 
     @pytest.mark.parametrize("T", [1.0, 1.2345])
-    def test_projector_matches_fine_hartree_run(self, default_lattice, T):
-        # RK4 at a sixteenth of the 1e-3 step stays on phi0's projector,
-        # and on its phase exp(-i lambda t)
+    def test_projector_matches_fine_hartree_run(self, default_lattice, T,
+                                                monkeypatch):
+        # the stationary phi0's frames against RK4 forced on its mean field
+        # at a sixteenth of the 1e-3 step: the same times, phi0's projector
+        # and its phase exp(-i lambda t), with no RK4 step of their own
         args, phi0 = default_lattice["args"], default_lattice["phi0"]
         lam, residual = mb.mean_field_stationary(*args, phi0)
         assert residual <= 1e-12
-        phi_T = mb.hartree_evolve(*args, phi0, T=T, dt=1e-3 / 16)[-1][1]
-        P = np.outer(phi0, phi0.conj())
-        assert np.linalg.norm(np.outer(phi_T, phi_T.conj()) - P) <= 1e-12
-        assert np.linalg.norm(phi_T - np.exp(-1j * lam * T) * phi0) <= 1e-12
+        h_mf = mb._mean_field(*args, len(phi0))
+        oracle = mb._rk4(lambda t, v: -1j * h_mf(v),
+                         phi0 / np.linalg.norm(phi0), *mb._steps(T, 1e-3 / 16))
+        monkeypatch.setattr(mb, "_rk4", lambda *a: pytest.fail(
+            "an RK4 run from a stationary start"))
+        frames = mb.hartree_evolve(*args, phi0, T=T, dt=1e-3 / 16)
+        assert [t for t, _ in frames] == [t for t, _ in oracle]
+        picks = list(range(0, len(frames), 250)) + [len(frames) - 1]
+        phi = np.array([frames[k][1] for k in picks])
+        ref = np.array([oracle[k][1] for k in picks])
+        P = np.einsum("ki,kj->kij", phi, phi.conj())
+        P_ref = np.einsum("ki,kj->kij", ref, ref.conj())
+        assert np.linalg.norm(P - P_ref, axis=(1, 2)).max() <= 1e-12
+        assert np.linalg.norm(phi - ref, axis=1).max() <= 1e-12
+        assert np.linalg.norm(frames[-1][1]
+                              - np.exp(-1j * lam * T) * phi0) <= 1e-12
