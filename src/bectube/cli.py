@@ -674,20 +674,17 @@ def _verify_registry():
 
     @functools.cache
     def small_system():
-        """N = 3 on 6 x 2 modes, evolved to T = 0.2 in steps of 0.01 with a
+        """N = 3 on the default lattice cut to 6 sites, with the square's
+        modes on 63 x 63 nodes, evolved to T = 0.2 in steps of 0.01 with a
         frame every 5 steps."""
-        modes = transverse.dirichlet_modes(
-            transverse.rectangle(np.pi, np.pi, n=63), m=2)
-        spt = scaling.scaling_params(3, 0.25, 0.25)
-        spb = manybody.SingleParticleBasis(
-            G_x=6, dx=0.5, eps=0.25, transverse_energies=modes.energies)
-        w = scaling.bump_potential()
-        offsets, K = manybody.mode_kernel(modes, w, spt, 0.5)
-        h = manybody.one_body_matrix(spb)
+        cfg = load_config(None)
+        cfg["solver"]["G_x"], cfg["cross_section"]["n"] = 6, 63
+        spb, offsets, K, h, phi0 = _lattice(cfg, 3, cfg["scaling"]["eps"],
+                                            build_modes(cfg))
         basis = manybody.build_basis(spb.d, 3)
-        H = manybody.build_hamiltonian(basis, h, offsets, K, G_x=6, m=2)
-        evals, evecs = np.linalg.eigh(h)
-        psi0 = manybody.condensate_state(basis, evecs[:, 0].astype(complex))
+        H = manybody.build_hamiltonian(basis, h, offsets, K, G_x=spb.G_x,
+                                       m=spb.m)
+        psi0 = manybody.condensate_state(basis, phi0)
         frames = manybody.evolve_state(basis, H, psi0, T=0.2, dt=0.01,
                                        store_every=5)
         return basis, H, psi0, frames
@@ -744,6 +741,21 @@ def _verify_registry():
         _, d = manybody.mean_field_stationary(h_one, offsets, K, spb.G_x,
                                               spb.m, N, phi0)
         return d <= manybody.stationary_bound(h_one), d
+
+    @add("condensation", "hat_dynamics")
+    def _():
+        # i d/dt f-hat = [H, f-hat] for N = 2 on d = 3 along h(t) =
+        # h0 (1 + t/2); the centred difference is O(dt^2), so halving dt
+        # divides the defect by about 4
+        rng = np.random.default_rng(5)
+        h0 = rng.standard_normal((3, 3))
+        h0 = 0.5 * (h0 + h0.T)
+        phi0 = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        coarse, fine = (condensation.hat_dynamics_check(
+            lambda t: h0 * (1 + 0.5 * t), condensation.weight_n(2, power=2.0),
+            2, 3, phi0, T=0.1, dt=dt) for dt in (4e-3, 2e-3))
+        d = coarse / fine
+        return 2.5 < d < 6.0, d
 
     @add("condensation", "operator_algebra")
     def _():

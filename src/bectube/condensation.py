@@ -56,17 +56,10 @@ def condensate_ref(phi: np.ndarray) -> CondensateRef:
 
 @dataclass(frozen=True)
 class WeightFn:
-    """Weight table f(0..N); zero outside the index range."""
+    """Weight table f(0..N)."""
 
     N: int
     table: np.ndarray
-
-    def __call__(self, k):
-        k = np.asarray(k)
-        out = np.zeros(k.shape, dtype=float)
-        ok = (k >= 0) & (k <= self.N)
-        out[ok] = self.table[k[ok]]
-        return out if out.ndim else float(out)
 
 
 def weight_n(N: int, power: float = 1.0) -> WeightFn:
@@ -358,8 +351,7 @@ def weight_algebra_suite(N: int = 3, d: int = 4, seed: int = 0) -> dict:
 
 
 def hat_dynamics_check(h: Callable, f: WeightFn, N: int, d: int,
-                       phi0: np.ndarray, T: float = 0.1,
-                       dt: float = 1e-3) -> float:
+                       phi0: np.ndarray, T: float, dt: float) -> float:
     """Defect of i d/dt f-hat = [H, f-hat] along a one-body trajectory.
 
     ``h`` maps t to the d x d one-body Hamiltonian; the reference phi(t) is

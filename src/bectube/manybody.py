@@ -54,9 +54,6 @@ class SingleParticleBasis:
     def d(self) -> int:
         return self.G_x * self.m
 
-    def mode(self, i: int):
-        return divmod(i, self.m)
-
     def transverse_offsets(self) -> np.ndarray:
         E = self.transverse_energies
         return (E - E[0]) / self.eps**2
@@ -483,7 +480,7 @@ def excitation_probability(basis: FockBasis, psi: np.ndarray,
                            spb: SingleParticleBasis) -> float:
     """Expected fraction of particles outside the transverse ground mode."""
     occ_exp = mode_occupations(basis, psi)
-    mask = np.array([spb.mode(i)[1] != 0 for i in range(spb.d)])
+    mask = np.arange(spb.d) % spb.m != 0
     return float(occ_exp[mask].sum() / basis.N)
 
 

@@ -115,22 +115,18 @@ def classify_sequence(points: Sequence[ScalingPoint]) -> Classification:
 class PairPotential:
     """Radial pair potential w(r) = wt(|r|^2) supported in the unit ball.
 
-    ``wt`` acts on the squared radius; ``mass`` and ``first_moment`` are the
-    closed-form integrals of w and |r| w over R^3.
+    ``wt`` acts on the squared radius, and ``at_r2`` cuts it off at the unit
+    sphere; ``mass`` and ``first_moment`` are the closed-form integrals of w
+    and |r| w over R^3.
     """
 
     wt: Callable[[np.ndarray], np.ndarray]
     mass: float
     first_moment: float
 
-    def __call__(self, r: np.ndarray) -> np.ndarray:
-        r = np.asarray(r, dtype=float)
-        s = np.sum(r * r, axis=-1)
-        return np.where(s < 1.0, self.wt(np.minimum(s, 1.0)), 0.0)
-
-    def radial(self, rho: np.ndarray) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        s = rho * rho
+    def at_r2(self, s: np.ndarray) -> np.ndarray:
+        """w at the squared radius s: wt(s) inside the unit ball s < 1, zero
+        outside."""
         return np.where(s < 1.0, self.wt(np.minimum(s, 1.0)), 0.0)
 
     def scaled(self, factor: float) -> "PairPotential":
@@ -145,7 +141,7 @@ def bump_potential() -> PairPotential:
     Closed forms: total mass 64 pi / 315, first moment pi / 10.
     """
     return PairPotential(
-        wt=lambda s: np.where(s < 1.0, (1.0 - np.minimum(s, 1.0)) ** 3, 0.0),
+        wt=lambda s: (1.0 - s) ** 3,
         mass=64.0 * np.pi / 315.0,
         first_moment=np.pi / 10.0,
     )
@@ -329,8 +325,7 @@ def pair_kernel(chi, h: float, w: PairPotential, eps: float, mu: float,
 
     x = np.asarray(x, dtype=float)
     s = (x[:, None]**2 + eps**2 * (FY1**2 + FY2**2).ravel()) / mu**2
-    wv = np.where(s < 1.0, w.wt(np.minimum(s, 1.0)), 0.0)
-    K = eps**2 / mu**3 * np.einsum("pqf,if->ipq", Q, wv) * hf**2
+    K = eps**2 / mu**3 * np.einsum("pqf,if->ipq", Q, w.at_r2(s)) * hf**2
     return K[:, pair[:, None, None, :], pair[None, :, :, None]]
 
 
@@ -372,7 +367,7 @@ def _radial_ft_table(w: PairPotential, k_max: float):
     k = np.linspace(0.0, k_max, 4096)
     r, wq = np.polynomial.legendre.leggauss(64)
     r, wq = 0.5 * (r + 1.0), 0.5 * wq
-    vals = 4 * np.pi * np.sinc(np.outer(k, r) / np.pi) @ (wq * r**2 * w.radial(r))
+    vals = 4 * np.pi * np.sinc(np.outer(k, r) / np.pi) @ (wq * r**2 * w.at_r2(r * r))
     return lambda q: np.interp(q, k, vals, left=0.0, right=0.0)
 
 
@@ -425,7 +420,7 @@ def convolution_defect_direct(w: PairPotential, eps: float, mu: float,
     X, Y1, Y2 = np.meshgrid(x, x, x, indexing="ij")
     f = np.exp(-(X**2 + Y1**2 + Y2**2) / (2 * sigma**2))
     s = (X**2 + eps**2 * (Y1**2 + Y2**2)) / mu**2
-    ker = eps**2 / mu**3 * np.where(s < 1.0, w.wt(np.minimum(s, 1.0)), 0.0)
+    ker = eps**2 / mu**3 * w.at_r2(s)
     conv = np.fft.ifftn(np.fft.fftn(f) * np.fft.fftn(np.fft.ifftshift(ker))).real
     conv *= d**3
     defect = np.sqrt(np.sum((conv - f * w.mass) ** 2) * d**3)

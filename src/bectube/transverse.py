@@ -139,7 +139,8 @@ class TransverseModes:
 
     @property
     def q4(self) -> float:
-        return chi_quartic(self)
+        """Integral of |chi_0|^4 over the cross-section."""
+        return float(self.cs.h**2 * np.sum(self.chi[0] ** 4))
 
     @cached_property
     def lchi2(self) -> float:
@@ -374,12 +375,6 @@ def dirichlet_modes(cs: CrossSection, m: int = 1) -> TransverseModes:
         raise CrossSectionError("ground mode changes sign in the interior")
     return TransverseModes(cs=cs, energies=vals, chi=chi,
                            origin=cs.centroid())
-
-
-def chi_quartic(modes: TransverseModes) -> float:
-    """Integral of |chi_0|^4 over the cross-section."""
-    h = modes.cs.h
-    return float(h**2 * np.sum(modes.chi[0] ** 4))
 
 
 def _apply_L(chi2d: np.ndarray, cs: CrossSection, origin) -> np.ndarray:

@@ -68,7 +68,8 @@ def test_criterion_03_nls_exactness():
 
 def test_criterion_04_condensation_identities():
     registry_criterion(4, "condensation.operator_algebra_seeds",
-                       "condensation.measure_equivalence", seconds=60)
+                       "condensation.measure_equivalence",
+                       "condensation.hat_dynamics", seconds=60)
 
 
 def test_criterion_05_weight_bounds():

@@ -284,6 +284,7 @@ class TestVerifyRegistry:
         names = [(m, n) for m, n, _ in checks]
         assert len(names) == len(set(names))
         assert ("manybody", "mean_field_stationary") in names
+        assert ("condensation", "hat_dynamics") in names
         assert len(checks) >= 20
 
 

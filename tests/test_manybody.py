@@ -150,7 +150,11 @@ class TestBasis:
         spb = mb.SingleParticleBasis(G_x=4, dx=0.5, eps=0.5,
                                      transverse_energies=np.array([2.0, 5.0]))
         assert spb.d == 8 and spb.m == 2
-        assert spb.mode(5) == (2, 1)
+        # mode i = g * m + j: one particle in mode 5 = (site 2, mode 1) is
+        # excited, one in mode 4 = (site 2, mode 0) is not
+        basis = mb.build_basis(spb.d, 1)
+        assert [mb.excitation_probability(basis, np.eye(8)[i], spb)
+                for i in (4, 5)] == [0.0, 1.0]
         assert np.allclose(spb.transverse_offsets(), [0.0, 12.0])
 
 
@@ -274,8 +278,8 @@ class TestKernel:
         prods = chi[:, None, :] * chi[None, :, :]
         pref = spt.eps**2 / (spt.N * spt.mu**3) * modes.cs.h**4
         oracle = np.stack([
-            pref * np.einsum("adi,ij,bcj->abcd", prods, w.radial(
-                np.sqrt((o * dx) ** 2 + spt.eps**2 * dy2) / spt.mu), prods)
+            pref * np.einsum("adi,ij,bcj->abcd", prods, w.at_r2(
+                ((o * dx) ** 2 + spt.eps**2 * dy2) / spt.mu**2), prods)
             for o in offsets])
         assert np.abs(K - oracle).max() < 5e-3 * np.abs(K).max()
 

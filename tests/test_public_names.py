@@ -6,6 +6,10 @@ that the tests compare a product path against, listed in KEPT_ORACLES, or a
 duplicate path that should go.  A private one is a duplicate path: the tests
 compare against their own oracles.  A default that no program call
 overrides is a constant.
+
+These checks read names by AST, so they cannot see a method or a nested
+function that no program calls; ``test_program_reach.py`` runs the programs
+and covers those.
 """
 
 import ast
@@ -16,8 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # oracles of the test suite; ``masked`` is the only input that reaches the
 # eigensolve of a cross-section with holes
 KEPT_ORACLES = ("convolution_defect_direct", "overlap_tensor",
-                "rayleigh_residual", "masked", "embed_jacobian_det",
-                "hat_dynamics_check")
+                "rayleigh_residual", "masked", "embed_jacobian_det")
 
 # defaults that only a benchmark reads: bench/tracer.py's hook records n_xi
 BENCH_READ_DEFAULTS = {("convolution_defect", "n_xi")}

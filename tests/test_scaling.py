@@ -78,8 +78,8 @@ class TestClassifier:
 class TestPairPotential:
     def test_bump_closed_forms(self):
         w = sc.bump_potential()
-        mass = 4 * np.pi * quad(lambda r: r**2 * w.radial(r), 0, 1)[0]
-        mom1 = 4 * np.pi * quad(lambda r: r**3 * w.radial(r), 0, 1)[0]
+        mass = 4 * np.pi * quad(lambda r: r**2 * w.at_r2(r * r), 0, 1)[0]
+        mom1 = 4 * np.pi * quad(lambda r: r**3 * w.at_r2(r * r), 0, 1)[0]
         assert np.isclose(mass, w.mass, rtol=1e-10)
         assert np.isclose(mom1, w.first_moment, rtol=1e-10)
         assert np.isclose(w.mass, 64 * np.pi / 315)
@@ -87,14 +87,14 @@ class TestPairPotential:
 
     def test_compact_support(self):
         w = sc.bump_potential()
-        r = np.array([[1.0, 0.0, 0.0], [0.8, 0.8, 0.0], [0.0, 0.0, 2.0]])
-        assert np.all(w(r) == 0.0)
-        assert w(np.zeros(3)) == 1.0
+        # |r|^2 = 1, 1.28, 4: on and outside the unit sphere
+        assert np.all(w.at_r2(np.array([1.0, 1.28, 4.0])) == 0.0)
+        assert w.at_r2(0.0) == 1.0
 
     def test_scaled(self):
         w = sc.bump_potential().scaled(3.0)
         assert np.isclose(w.mass, 3 * 64 * np.pi / 315)
-        assert w(np.zeros(3)) == 3.0
+        assert w.at_r2(0.0) == 3.0
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +278,7 @@ class TestConvolutionDefect:
         table = sc._radial_ft_table(w, k_max=60.0)
         for k in np.linspace(0.0, 60.0, 4096)[::455]:
             ref = 4 * np.pi * quad(
-                lambda r: r**2 * w.radial(r) * np.sinc(k * r / np.pi), 0, 1,
+                lambda r: r**2 * w.at_r2(r * r) * np.sinc(k * r / np.pi), 0, 1,
                 epsabs=1e-14, epsrel=1e-13, limit=200)[0]
             assert abs(float(table(k)) - ref) < 1e-12
 
