@@ -394,7 +394,8 @@ def _lattice(cfg: dict, N: int, eps: float, modes):
 def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     """One (N, eps) run: exact evolution from the condensate of phi0, with
     condensation observables against the mean-field reference at the
-    initial time and 10 stored times, one Lanczos call apart."""
+    initial time and 10 stored times, T / 10 apart, that one Lanczos call
+    reaches."""
     spb, offsets, K, h_one, phi0 = _lattice(cfg, N, eps, modes)
     basis = manybody.build_basis(spb.d, N)
     H = manybody.build_hamiltonian(basis, h_one, offsets, K, G_x=spb.G_x,

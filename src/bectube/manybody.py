@@ -321,8 +321,8 @@ def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.add.reduce(a.view(float) * b.view(float)))
 
 
-def _expm_e1(alpha: np.ndarray, beta: np.ndarray, dt: float) -> np.ndarray:
-    """exp(-i dt T) e_1 for the symmetric tridiagonal T with diagonal alpha
+def _tridiagonal_eig(alpha: np.ndarray, beta: np.ndarray):
+    """(evals, evecs) of the symmetric tridiagonal T with diagonal alpha
     (k entries) and off-diagonal beta[:k - 1], by LAPACK's dstev.  The
     dense eigh (dsyevd) would wake threaded BLAS from k = 32; dstev's
     wrapper wants max(k - 1, 1) off-diagonal entries, and the one it gets
@@ -332,12 +332,32 @@ def _expm_e1(alpha: np.ndarray, beta: np.ndarray, dt: float) -> np.ndarray:
     if info:
         raise ManyBodyError(f"tridiagonal eigensolver failed at k = {k} "
                             f"(info {info})")
-    return evecs @ (np.exp(-1j * dt * evals) * evecs[0])
+    return evals, evecs
 
 
-def lanczos_expm_apply(H, v: np.ndarray, dt: float,
-                       kdim: int = 40) -> np.ndarray:
-    """Apply exp(-i dt H) to v, for Hermitian H, by the Lanczos method.
+def _expm_e1(evals: np.ndarray, evecs: np.ndarray, dts) -> np.ndarray:
+    """Rows exp(-i dt T) e_1, one for each dt in dts, from the eigenpairs of
+    T: a (len(dts), k) array built by elementwise sums, not by a matrix
+    product (see the note above ``_re_dot``)."""
+    phases = np.exp(-1j * np.multiply.outer(dts, evals)) * evecs[0]
+    return (phases[:, None, :] * evecs).sum(axis=-1)
+
+
+def _last_entry(evals: np.ndarray, evecs: np.ndarray, dts) -> np.ndarray:
+    """[exp(-i dt T)]_{k,1} for each dt in dts, as ``_expm_e1`` builds it."""
+    return (np.exp(-1j * np.multiply.outer(dts, evals))
+            * (evecs[0] * evecs[-1])).sum(axis=-1)
+
+
+def _combine(U: list, c: np.ndarray) -> np.ndarray:
+    """sum_l c_l U_l, one vector at a time (see the note above ``_re_dot``)."""
+    return sum(c_l * u_l for c_l, u_l in zip(c, U))
+
+
+def lanczos_expm_apply(H, v: np.ndarray, times: Sequence[float],
+                       kdim: int) -> list:
+    """exp(-i t H) v for each t of the increasing times, for Hermitian H, by
+    the Lanczos method: one Krylov space serves every time it resolves.
 
     The Krylov vectors come from the plain three-term recurrence
     beta_j u_{j+1} = H u_j - alpha_j u_j - beta_{j-1} u_{j-1}, with no
@@ -346,66 +366,99 @@ def lanczos_expm_apply(H, v: np.ndarray, dt: float,
     Lanczos matrix of a nearby spectrum, so the result keeps the accuracy of
     a polynomial approximation of the exponential (Druskin, Greenbaum &
     Knizhnerman 1998, SIAM J. Sci. Comput. 19:38; Musco, Musco & Sidford
-    2018, SODA).  It stops at the first k with beta_k = 0 or with the a
+    2018, SODA).  A space started at time t0 resolves t when the a
     posteriori estimate (Saad 1992) of the error relative to ||v||,
-    beta_k |[exp(-i dt T_k)]_{k,1}|, <= 1e-12.  When kdim vectors miss that
-    tolerance, the step is two half steps of dt/2 under the same rules.  A
-    non-finite estimate or kdim < 2 raise ManyBodyError.
+    beta_k |[exp(-i (t - t0) T_k)]_{k,1}|, is <= 1e-12.  Every 4 vectors,
+    at beta_k = 0 and at kdim vectors, one tridiagonal eigensolve gives the
+    estimate at every pending time, and the pending times it resolves, in
+    order, take their state from that space (Park & Light 1986, J. Chem.
+    Phys. 85:5870; Hochbruck & Lubich 1997, SIAM J. Numer. Anal. 34:1911).
+    At kdim vectors the space advances to the farthest time it still
+    resolves, found by bisection on the same estimate, and a new space
+    starts there.  The recurrence keeps kdim + 1 vectors of v's length.
+    Returns the list of states; decreasing times, a non-finite Krylov
+    vector or estimate, kdim < 2 or a space that resolves no step raise
+    ManyBodyError.
     """
     if kdim < 2:
-        # with one vector the estimate is beta_1 for every dt, so half steps
-        # could never meet the tolerance
+        # with one vector the estimate is beta_1 at every time, so no space
+        # could advance
         raise ManyBodyError(f"kdim = {kdim}: need at least 2 Krylov vectors")
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or np.any(np.diff(times) < 0):
+        raise ManyBodyError("times must be an increasing sequence")
     u = np.ascontiguousarray(v, dtype=complex)
-    beta0 = np.sqrt(_re_dot(u, u))
-    if beta0 == 0:
-        return v
-    alpha, beta = np.zeros(kdim), np.zeros(kdim)
-    U = [u / beta0]
-    for j in range(kdim):
-        w = H @ U[j]
-        alpha[j] = _re_dot(U[j], w)
-        w -= alpha[j] * U[j]
-        if j:
-            w -= beta[j - 1] * U[j - 1]
-        beta[j] = np.sqrt(_re_dot(w, w))
-        coef = _expm_e1(alpha[:j + 1], beta, dt)
-        err = beta[j] * abs(coef[-1])
-        if not np.isfinite(err):
-            raise ManyBodyError(f"non-finite Krylov error estimate at "
-                                f"k = {j + 1}")
-        if err <= 1e-12:
-            return beta0 * sum(c * u for c, u in zip(coef, U))
-        U.append(w / beta[j])
-    half = lanczos_expm_apply(H, v, dt / 2, kdim)
-    return lanczos_expm_apply(H, half, dt / 2, kdim)
+    if not _re_dot(u, u):
+        return [v.copy() for _ in times]
+    out, t0 = [], 0.0
+    while len(out) < len(times):
+        beta0 = np.sqrt(_re_dot(u, u))
+        alpha, beta = np.zeros(kdim), np.zeros(kdim)
+        U = [u / beta0]
+        for j in range(kdim):
+            w = H @ U[j]
+            alpha[j] = _re_dot(U[j], w)
+            w -= alpha[j] * U[j]
+            if j:
+                w -= beta[j - 1] * U[j - 1]
+            beta[j] = np.sqrt(_re_dot(w, w))
+            k = j + 1
+            if not np.isfinite(beta[j]):
+                raise ManyBodyError(f"non-finite Krylov vector at k = {k}")
+            if k % 4 == 0 or k == kdim or not beta[j]:
+                evals, evecs = _tridiagonal_eig(alpha[:k], beta)
+                dts = times[len(out):] - t0
+                err = beta[j] * np.abs(_last_entry(evals, evecs, dts))
+                if not np.isfinite(err).all():
+                    raise ManyBodyError(f"non-finite Krylov error estimate "
+                                        f"at k = {k}")
+                ok = err <= 1e-12
+                n_ok = len(ok) if ok.all() else int(np.argmin(ok))
+                for c in _expm_e1(evals, evecs, dts[:n_ok]):
+                    out.append(beta0 * _combine(U, c))
+                if n_ok == len(dts):
+                    break
+            if k < kdim:
+                U.append(w / beta[j])
+        else:
+            # kdim vectors: a new space starts at the farthest time this one
+            # resolves short of the next pending time
+            lo, hi = (dts[n_ok - 1] if n_ok else 0.0), dts[n_ok]
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                err = beta[-1] * abs(_last_entry(evals, evecs, [mid])[0])
+                lo, hi = (mid, hi) if err <= 1e-12 else (lo, mid)
+            if lo <= 0:
+                raise ManyBodyError(f"{kdim} Krylov vectors resolve no step")
+            u = beta0 * _combine(U, _expm_e1(evals, evecs, [lo])[0])
+            t0 += lo
+    return out
 
 
 def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
                  dt: float, store_every: int = None) -> list:
-    """Propagate under the static Hamiltonian H over T in steps of the
-    required dt, shortened to T / ceil(T / dt); returns a list of (t, psi)
-    pairs.
+    """Propagate under the static Hamiltonian H to T; returns a list of
+    (t, psi) pairs, psi0 at t = 0 and the stored frames.
 
-    Each step of dt is one ``lanczos_expm_apply`` call with tolerance 1e-12
-    relative to the state's norm and at most 40 Krylov vectors; a step that
-    they cannot resolve is split into half steps inside that call, so the
-    stored times stay multiples of dt.  psi0 is normalized, the steps are
-    not: the stored norms show the propagator's own drift.
+    The frames are at (step + 1) dt for every store_every-th step of the
+    required dt, shortened to T / ceil(T / dt), and at T.  One
+    ``lanczos_expm_apply`` call reaches them all, with tolerance 1e-12
+    relative to the state's norm and at most
+    kdim = min(64, 32 MiB / (16 dim)) Krylov vectors: a budget of 32 MiB of
+    Krylov vectors, and kdim >= 2 under ``build_basis``'s cap of 10^6
+    states.  psi0 is normalized, the frames are not: the stored norms show
+    the propagator's own drift.
     """
     psi = np.ascontiguousarray(psi0, dtype=complex)
     psi = psi / np.sqrt(_re_dot(psi, psi))
     n_steps, dt = _steps(T, dt)
     if store_every is None:
         store_every = n_steps
-    out = [(0.0, psi.copy())]
-    for step in range(n_steps):
-        psi = lanczos_expm_apply(H, psi, dt)
-        if not np.isfinite(_re_dot(psi, psi)):
-            raise ManyBodyError(f"propagation failed at step {step}")
-        if (step + 1) % store_every == 0 or step == n_steps - 1:
-            out.append(((step + 1) * dt, psi.copy()))
-    return out
+    times = [(step + 1) * dt for step in range(n_steps)
+             if (step + 1) % store_every == 0 or step == n_steps - 1]
+    kdim = min(64, 2**25 // (16 * len(psi)))
+    frames = lanczos_expm_apply(H, psi, times, kdim=kdim)
+    return [(0.0, psi.copy())] + list(zip(times, frames))
 
 
 def evolve_state_dense(H, psi0: np.ndarray, times: Sequence[float]):

@@ -52,7 +52,8 @@ def test_lanczos_hook_reads_bound_arguments():
     tracer = _tracer()
     H = sp.diags(np.arange(1.0, 6.0)).tocsr()
     v = np.ones(5, dtype=complex)
-    bound = inspect.signature(mb.lanczos_expm_apply).bind(H, v, 0.1)
+    bound = inspect.signature(mb.lanczos_expm_apply).bind(H, v, [0.1],
+                                                          kdim=40)
     bound.apply_defaults()
     result = mb.lanczos_expm_apply(*bound.args, **bound.kwargs)
     counters = {}

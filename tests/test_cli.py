@@ -380,6 +380,11 @@ class TestBlasThreads:
     def test_manybody_leaves_the_second_thread_asleep(self, tmp_path):
         assert self.other_thread_cpu([["manybody"]], tmp_path) <= 0.02
 
+    def test_converge_leaves_the_second_thread_asleep(self, tmp_path):
+        # its N = 6 point (Fock dimension 54264) builds the largest Krylov
+        # space of any command
+        assert self.other_thread_cpu([["converge"]], tmp_path) <= 0.02
+
     def test_disk_coeffs_and_evolve_leave_the_second_thread_asleep(
             self, tmp_path):
         p = tmp_path / "c.json"
@@ -440,8 +445,8 @@ class TestRunSetup:
         assert np.max(np.abs(v[1:] - v[1:][::-1])) < 1e-12
 
     def test_frames_end_at_T(self, tmp_path):
-        # T = 1.2345 is no multiple of a round step: the 10 Lanczos steps
-        # are T / 10 each and the last frame is at T
+        # T = 1.2345 is no multiple of a round step: the 10 frames are
+        # T / 10 apart and the last is at T
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"cross_section": {"n": 31, "m": 1},
                                  "solver": {"G_x": 4}}))
@@ -451,7 +456,7 @@ class TestRunSetup:
         assert len(rows) == 11
         assert rows[-1]["t"] == pytest.approx(1.2345, abs=1e-12)
 
-    def test_one_lanczos_call_per_frame_and_no_hartree_run(
+    def test_one_lanczos_call_for_all_frames_and_no_hartree_run(
             self, outdir, tmp_path, monkeypatch):
         calls = []
         apply = cli.manybody.lanczos_expm_apply
@@ -468,7 +473,7 @@ class TestRunSetup:
         p.write_text(json.dumps({"cross_section": {"n": 31, "m": 2},
                                  "solver": {"G_x": 4}, "scaling": {"N": 2}}))
         assert cli.main(["manybody", "--config", str(p)]) == 0
-        assert calls == ["lanczos"] * 10
+        assert calls == ["lanczos"]
 
 
 def _holed_square_modes(m):

@@ -73,21 +73,34 @@ def _wrapped_system():
     return dict(h=mb.one_body_matrix(spb), offsets=np.arange(-2, 3), K=K)
 
 
-@pytest.fixture(scope="module")
-def criterion9_system():
-    """The criterion-9 system at N = 3: 16 sites, one transverse mode,
-    coupling lam / (N - 1) with lam = 4 K calibrated at N = 4, Fock
-    dimension 816 and ||H||_1 about 55."""
+def _criterion9(N: int) -> dict:
+    """The criterion-9 system at N: 16 sites, one transverse mode, coupling
+    lam / (N - 1) with lam = 4 K calibrated at N = 4, from the condensate of
+    the lattice ground state."""
     modes = tv.dirichlet_modes(tv.rectangle(np.pi, np.pi, n=63), m=1)
     w = sc.bump_potential().scaled(15.0)
     offsets, K = mb.mode_kernel(modes, w, sc.scaling_params(4, 0.5, 0.25), 0.5)
     spb = mb.SingleParticleBasis(G_x=16, dx=0.5, eps=0.5,
                                  transverse_energies=modes.energies[:1])
     h = mb.one_body_matrix(spb)
-    basis = mb.build_basis(spb.d, 3)
-    H = mb.build_hamiltonian(basis, h, offsets, 4 * K / (3 - 1), G_x=16, m=1)
+    basis = mb.build_basis(spb.d, N)
+    H = mb.build_hamiltonian(basis, h, offsets, 4 * K / (N - 1), G_x=16, m=1)
     psi0 = mb.condensate_state(basis, np.linalg.eigh(h)[1][:, 0])
     return dict(basis=basis, H=H, psi0=psi0)
+
+
+@pytest.fixture(scope="module")
+def criterion9_system():
+    """The criterion-9 system at N = 3: Fock dimension 816 and ||H||_1
+    about 55."""
+    return _criterion9(3)
+
+
+def _random_state(dim: int, seed: int) -> np.ndarray:
+    """A unit complex vector of independent normal entries."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
 
 
 class _CountingMatrix:
@@ -403,31 +416,45 @@ class TestPropagation:
         assert max(abs(v - e[0]) for v in e) < 1e-9
         assert all(np.isclose(np.linalg.norm(p), 1.0) for _, p in frames)
 
-    @pytest.mark.parametrize("dt", [2.0, 4.0])
-    def test_large_step_split_into_half_steps(self, criterion9_system,
-                                              monkeypatch, dt):
-        # dt ||H||_1 is 110 or 220, beyond what 40 Krylov vectors resolve
+    @pytest.mark.parametrize("start", ["condensate", "random"])
+    @pytest.mark.parametrize("T", [2.0, 4.0])
+    def test_long_single_frame_restarts_the_space(self, criterion9_system,
+                                                  start, T):
+        # T ||H||_1 is 110 or 220: beyond one space of 16 vectors, and
+        # beyond evolve_state's 64 except from the condensate at T = 2
         s = criterion9_system
-        steps = []
-        apply = mb.lanczos_expm_apply
-
-        def recorded(H, v, dt, *args, **kwargs):
-            steps.append(dt)
-            return apply(H, v, dt, *args, **kwargs)
-
-        monkeypatch.setattr(mb, "lanczos_expm_apply", recorded)
-        frames = mb.evolve_state(s["basis"], s["H"], s["psi0"], T=dt, dt=dt)
-        ref = mb.evolve_state_dense(s["H"], s["psi0"], [dt])[0][1]
-        assert [t for t, _ in frames] == [0.0, dt]
-        assert steps[0] == dt and dt / 2 in steps
+        v = s["psi0"] if start == "condensate" else _random_state(
+            s["basis"].dim, 7)
+        ref = mb.evolve_state_dense(s["H"], v, [T])[0][1]
+        H = _CountingMatrix(s["H"])
+        frames = mb.evolve_state(s["basis"], H, v, T=T, dt=T)
+        assert [t for t, _ in frames] == [0.0, T]
         assert np.linalg.norm(frames[-1][1] - ref) < 1e-10
+        assert (H.matvecs > 64) == (start == "random" or T == 4.0)
+        H = _CountingMatrix(s["H"])
+        out = mb.lanczos_expm_apply(H, v, [T], kdim=16)
+        assert len(out) == 1 and H.matvecs > 4 * 16
+        assert np.linalg.norm(out[0] - ref) < 1e-10
+
+    def test_frames_from_one_call_match_dense(self, criterion9_system):
+        # 8 frames to T = 4 that several spaces reach in turn
+        s = criterion9_system
+        H = _CountingMatrix(s["H"])
+        frames = mb.evolve_state(s["basis"], H, s["psi0"], T=4.0, dt=0.125,
+                                 store_every=4)
+        times = [t for t, _ in frames]
+        assert times == [0.0] + [0.5 * i for i in range(1, 9)]
+        ref = mb.evolve_state_dense(s["H"], s["psi0"], times)
+        assert max(np.linalg.norm(p - q) for (_, p), (_, q)
+                   in zip(frames, ref)) < 1e-10
+        assert 64 < H.matvecs < 2 * 64
 
     def test_stops_at_error_estimate(self, small_system):
         s = small_system
         psi0 = mb.condensate_state(s["basis"], s["phi0"])
         ref = mb.evolve_state_dense(s["H"], psi0, [0.01])[0][1]
         H = _CountingMatrix(s["H"])
-        out = mb.lanczos_expm_apply(H, psi0, 0.01)
+        out = mb.lanczos_expm_apply(H, psi0, [0.01], kdim=40)[0]
         assert 2 < H.matvecs < 40
         assert np.linalg.norm(out - ref) < 1e-12
 
@@ -442,10 +469,16 @@ class TestPropagation:
             + np.diag(beta[:k - 1], -1)
         evals, evecs = np.linalg.eigh(T)
         dense = evecs @ (np.exp(-0.3j * evals) * evecs[0])
-        assert np.max(np.abs(mb._expm_e1(alpha, beta, 0.3) - dense)) <= 1e-14
+        evals, evecs = mb._tridiagonal_eig(alpha, beta)
+        coef = mb._expm_e1(evals, evecs, [0.3])[0]
+        assert np.max(np.abs(coef - dense)) <= 1e-14
+        assert mb._last_entry(evals, evecs, [0.3])[0] == pytest.approx(
+            dense[-1], abs=1e-14)
 
     def test_default_config_krylov_dimensions(self, monkeypatch):
-        # the default `manybody` propagation: 10 Lanczos calls, 290 matvecs
+        # the default `manybody` propagation: one Lanczos call reaches the
+        # 10 frames in 172 matvecs; the fixed-step propagator took 10 calls
+        # and 290
         cfg = cli.load_config(None)
         N, eps, T = cfg["scaling"]["N"], cfg["scaling"]["eps"], \
             cfg["solver"]["T"]
@@ -458,25 +491,53 @@ class TestPropagation:
         apply = mb.lanczos_expm_apply
 
         def counting(*args, **kwargs):
-            calls.append(args[2])
+            calls.append((list(args[2]), kwargs["kdim"]))
             return apply(*args, **kwargs)
 
         monkeypatch.setattr(mb, "lanczos_expm_apply", counting)
         mb.evolve_state(basis, H, mb.condensate_state(basis, phi0), T=T,
                         dt=T / 10, store_every=1)
-        assert len(calls) == 10 and H.matvecs == 290
+        assert calls == [([(i + 1) * (T / 10) for i in range(10)], 64)]
+        assert H.matvecs == 172
+
+    @pytest.mark.parametrize("N, fixed_steps", [
+        (2, 72), (3, 128), (4, 160), (5, 168), (6, 184)])
+    def test_depletion_sweep_matvecs(self, N, fixed_steps):
+        # the criterion-9 systems to T = 1 in steps of 0.125, one frame: no
+        # more matvecs than the fixed-step propagator took
+        s = _criterion9(N)
+        H = _CountingMatrix(s["H"])
+        mb.evolve_state(s["basis"], H, s["psi0"], T=1.0, dt=0.125)
+        assert H.matvecs <= fixed_steps
+
+    def test_converge_matvecs(self):
+        # converge's default points, 10 frames each: no more matvecs than
+        # the fixed-step propagator took
+        cfg = cli.load_config(None)
+        cv, modes = cfg["converge"], cli.build_modes(cfg)
+        counts = []
+        for N in cv["N_list"]:
+            eps = cv["eps0"] * (N / cv["N_list"][0]) ** (-cv["alpha"])
+            spb, offsets, K, h, phi0 = cli._lattice(cfg, N, eps, modes)
+            basis = mb.build_basis(spb.d, N)
+            H = _CountingMatrix(mb.build_hamiltonian(
+                basis, h, offsets, K, G_x=spb.G_x, m=spb.m))
+            T = cfg["solver"]["T"]
+            mb.evolve_state(basis, H, mb.condensate_state(basis, phi0), T=T,
+                            dt=T / 10, store_every=1)
+            counts.append(H.matvecs)
+        assert cv["N_list"] == [2, 3, 4, 6]
+        assert all(c <= f for c, f in zip(counts, [100, 160, 220, 290]))
 
     def test_one_recurrence_past_default_kdim(self, criterion9_system):
-        # a random start at dt = 2 needs some 80 vectors: they lose
-        # orthogonality, which the plain recurrence does not restore, and
-        # the result still matches the dense propagator
+        # a random start at t = 2 needs some 80 vectors in one space, more
+        # than evolve_state's 64: they lose orthogonality, which the plain
+        # recurrence does not restore, and the result still matches the
+        # dense propagator
         s = criterion9_system
-        rng = np.random.default_rng(7)
-        v = rng.standard_normal(s["basis"].dim) \
-            + 1j * rng.standard_normal(s["basis"].dim)
-        v = v / np.linalg.norm(v)
+        v = _random_state(s["basis"].dim, 7)
         H = _CountingMatrix(s["H"])
-        out = mb.lanczos_expm_apply(H, v, 2.0, kdim=120)
+        out = mb.lanczos_expm_apply(H, v, [2.0], kdim=120)[0]
         ref = mb.evolve_state_dense(s["H"], v, [2.0])[0][1]
         assert 40 < H.matvecs <= 120
         assert np.linalg.norm(out - ref) < 1e-12
@@ -484,8 +545,9 @@ class TestPropagation:
     def test_norm_not_restored(self, small_system, monkeypatch):
         s = small_system
         psi0 = mb.condensate_state(s["basis"], s["phi0"])
-        monkeypatch.setattr(mb, "lanczos_expm_apply",
-                            lambda H, v, dt, **kwargs: (1 + 1e-6) * v)
+        monkeypatch.setattr(
+            mb, "lanczos_expm_apply", lambda H, v, times, kdim: [
+                (1 + 1e-6) ** (i + 1) * v for i in range(len(times))])
         frames = mb.evolve_state(s["basis"], s["H"], psi0, T=0.05, dt=0.01,
                                  store_every=1)
         norms = [np.linalg.norm(p) for _, p in frames]
@@ -496,18 +558,19 @@ class TestPropagation:
         H = criterion9_system["H"]
         E, U = np.linalg.eigh(H.toarray())
         for i in (0, 400, len(E) - 1):
-            out = mb.lanczos_expm_apply(H, U[:, i], 0.7)
+            out = mb.lanczos_expm_apply(H, U[:, i], [0.7], kdim=40)[0]
             assert np.linalg.norm(out - np.exp(-0.7j * E[i]) * U[:, i]) < 1e-13
 
     def test_real_and_zero_input(self, criterion9_system):
         s = criterion9_system
         v = s["psi0"].real.copy()
         ref = mb.evolve_state_dense(s["H"], v.astype(complex), [0.3])[0][1]
-        assert np.linalg.norm(mb.lanczos_expm_apply(s["H"], v, 0.3) - ref) \
-            < 1e-12
+        out = mb.lanczos_expm_apply(s["H"], v, [0.3], kdim=40)[0]
+        assert np.linalg.norm(out - ref) < 1e-12
         zero = np.zeros(s["basis"].dim)
-        out = mb.lanczos_expm_apply(s["H"], zero, 0.3)
-        assert out.dtype == zero.dtype and not out.any()
+        out = mb.lanczos_expm_apply(s["H"], zero, [0.1, 0.3], kdim=40)
+        assert len(out) == 2
+        assert all(o.dtype == zero.dtype and not o.any() for o in out)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_input_refused(self, criterion9_system, bad):
@@ -516,15 +579,17 @@ class TestPropagation:
         H.data[5] = bad
         with np.errstate(invalid="ignore"):
             with pytest.raises(mb.ManyBodyError, match="non-finite"):
-                mb.lanczos_expm_apply(H, s["psi0"], 0.1)
+                mb.lanczos_expm_apply(H, s["psi0"], [0.1], kdim=40)
             with pytest.raises(mb.ManyBodyError, match="non-finite"):
-                mb.lanczos_expm_apply(s["H"], s["psi0"], bad)
+                mb.lanczos_expm_apply(s["H"], s["psi0"], [0.1, bad], kdim=40)
 
     def test_one_vector_refused(self, small_system):
         s = small_system
         psi0 = mb.condensate_state(s["basis"], s["phi0"])
         with pytest.raises(mb.ManyBodyError, match="at least 2"):
-            mb.lanczos_expm_apply(s["H"], psi0, 0.01, kdim=1)
+            mb.lanczos_expm_apply(s["H"], psi0, [0.01], kdim=1)
+        with pytest.raises(mb.ManyBodyError, match="increasing"):
+            mb.lanczos_expm_apply(s["H"], psi0, [0.02, 0.01], kdim=40)
 
     @pytest.mark.parametrize("T, dt", [(0.0, 0.01), (-1.0, 0.1), (0.1, 0.0),
                                        (0.1, -0.01), (0.0, None)])
