@@ -175,6 +175,18 @@ class TestMain:
         p.write_text('{"cross_section": {"n": 5}}')
         assert cli.main(["modes", "--config", str(p)]) == 2
 
+    def test_manybody_beyond_int8_occupations_refused(self, outdir,
+                                                      tmp_path, capsys):
+        # 128 bosons on 3 sites x 1 mode: 8385 states, under the cap, but
+        # more than an int8 occupation holds
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"solver": {"G_x": 3},
+                                 "cross_section": {"m": 1},
+                                 "scaling": {"N": 128}}))
+        assert cli.main(["manybody", "--config", str(p)]) == 2
+        assert "int8" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("scalars.json"))
+
     def test_bug_is_not_numerical_failure(self, outdir, tmp_path,
                                           monkeypatch):
         # a programming error keeps its traceback instead of exiting 2
