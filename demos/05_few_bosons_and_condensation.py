@@ -37,7 +37,7 @@ def main():
     for N in (2, 3, 4, 5):
         K = lam / (N - 1)
         basis = mb.build_basis(spb.d, N)
-        H = mb.build_hamiltonian(basis, h_one, offsets, K, G_x=G_x, m=1)
+        H = mb.build_hamiltonian(basis, h_one, offsets, K)
         psi0 = mb.condensate_state(basis, phi0)
         frames = mb.evolve_state(basis, H, psi0, T=T, dt=0.125)
         hart = mb.hartree_evolve(h_one, offsets, K, G_x, 1, N, phi0,
@@ -55,7 +55,7 @@ def main():
     N = 4
     K = lam / (N - 1)
     basis = mb.build_basis(spb.d, N)
-    H = mb.build_hamiltonian(basis, h_one, offsets, K, G_x=G_x, m=1)
+    H = mb.build_hamiltonian(basis, h_one, offsets, K)
     frames = mb.evolve_state(basis, H, mb.condensate_state(basis, phi0),
                              T=T, dt=0.125)
     hart = mb.hartree_evolve(h_one, offsets, K, G_x, 1, N, phi0, T=T, dt=2e-3)

@@ -32,7 +32,7 @@ def main():
         offsets, K = mb.mode_kernel(modes, w, spt, dx)
         h_one = mb.one_body_matrix(spb)
         basis = mb.build_basis(spb.d, N)
-        H = mb.build_hamiltonian(basis, h_one, offsets, K, G_x=G_x, m=2)
+        H = mb.build_hamiltonian(basis, h_one, offsets, K)
         evals, evecs = np.linalg.eigh(h_one)
         phi_g = evecs[:, 0].astype(complex)
         phi_e = np.zeros_like(phi_g)

@@ -92,7 +92,7 @@ def _coerce(value: str):
         return value
 
 
-def load_config(path=None) -> dict:
+def load_config(path) -> dict:
     """Read a JSON or INI config and merge it over the defaults."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is None:
@@ -149,8 +149,10 @@ def _validate(cfg: dict) -> dict:
     if sv["initial"] not in ("ground", "gaussian"):
         raise ConfigError("solver.initial must be ground or gaussian")
     # a dx <= 0 would empty the kernel's offsets and drop the interaction,
-    # and so would a radius <= 0 through a reversed cross-section grid
+    # and so would a radius <= 0 through a reversed cross-section grid; a
+    # sigma < 0 would run |sigma|
     for section, key in (("solver", "X"), ("solver", "dx"), ("solver", "T"),
+                         ("solver", "dt"), ("solver", "sigma"),
                          ("cross_section", "a"), ("cross_section", "b"),
                          ("cross_section", "radius")):
         if not 0.0 < cfg[section][key] < np.inf:
@@ -162,6 +164,7 @@ def _validate(cfg: dict) -> dict:
     # one_body_matrix's two bonds of a site coincide below 3 sites, and the
     # guide's cubic splines need 4 nodes
     for section, key, least in (("solver", "G_x", 3),
+                                ("solver", "store_every", 1),
                                 ("geometry", "n_nodes", 4),
                                 ("cross_section", "n", 1),
                                 ("cross_section", "m", 1)):
@@ -182,7 +185,7 @@ def config_digest(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def prepare_outdir(cfg: dict, subcommand: str, out_override=None) -> Path:
+def prepare_outdir(cfg: dict, subcommand: str, out_override) -> Path:
     root = (out_override or os.environ.get("BECTUBE_OUT")
             or cfg["output"]["out_root"])
     out = Path(root) / f"{subcommand}-{config_digest(cfg)}"
@@ -398,8 +401,7 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     reaches."""
     spb, offsets, K, h_one, phi0 = _lattice(cfg, N, eps, modes)
     basis = manybody.build_basis(spb.d, N)
-    H = manybody.build_hamiltonian(basis, h_one, offsets, K, G_x=spb.G_x,
-                                   m=spb.m)
+    H = manybody.build_hamiltonian(basis, h_one, offsets, K)
     psi0 = manybody.condensate_state(basis, phi0)
 
     steps = 10
@@ -427,7 +429,7 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
         a_n2 = float(np.dot(condensation.weight_n(N, 2.0).table, pk))
         a_m = float(np.dot(mweight.table, pk))
         e_psi = manybody.energy_per_particle(basis, psi, H)
-        g1 = manybody.reduced_density(basis, psi, M=1)
+        g1 = manybody.reduced_density(basis, psi)
         tdist = manybody.trace_distance(g1, ref.projector)
         rows.append({
             "t": tpsi, "alpha_n2": a_n2, "alpha_m": a_m,
@@ -601,7 +603,7 @@ def _verify_registry():
             n_nodes=512)
         ratios = [scaling.taylor_decompose(
                       types.SimpleNamespace(eps=eps, mu=mu), frame,
-                      geometry.no_twist(), n_samples=20_000).rbar / (eps + mu)
+                      geometry.no_twist()).rbar / (eps + mu)
                   for eps in (0.05, 0.1) for mu in (0.05, 0.1)]
         d = max(ratios) / min(ratios)
         return d < 3.0, d
@@ -683,8 +685,7 @@ def _verify_registry():
         spb, offsets, K, h, phi0 = _lattice(cfg, 3, cfg["scaling"]["eps"],
                                             build_modes(cfg))
         basis = manybody.build_basis(spb.d, 3)
-        H = manybody.build_hamiltonian(basis, h, offsets, K, G_x=spb.G_x,
-                                       m=spb.m)
+        H = manybody.build_hamiltonian(basis, h, offsets, K)
         psi0 = manybody.condensate_state(basis, phi0)
         frames = manybody.evolve_state(basis, H, psi0, T=0.2, dt=0.01,
                                        store_every=5)
@@ -716,7 +717,7 @@ def _verify_registry():
     @add("manybody", "gamma1_positive_unit_trace")
     def _():
         basis, H, psi0, frames = small_system()
-        g1 = manybody.reduced_density(basis, frames[-1][1], M=1)
+        g1 = manybody.reduced_density(basis, frames[-1][1])
         ev = np.linalg.eigvalsh(g1)
         d = float(max(-ev.min(), abs(np.trace(g1).real - 1.0)))
         return d < 1e-10, d
@@ -727,7 +728,7 @@ def _verify_registry():
         basis = manybody.build_basis(d0, N)
         psi_dense = condensation.random_symmetric_state(N, d0, seed=11)
         psi_fock = condensation.dense_to_fock(psi_dense, basis)
-        g_fock = manybody.reduced_density(basis, psi_fock, M=1)
+        g_fock = manybody.reduced_density(basis, psi_fock)
         g_dense = condensation.reduced_density_dense(psi_dense, N, d0, M=1)
         d = float(np.abs(g_fock - g_dense).max())
         return d < 1e-12, d

@@ -62,7 +62,7 @@ class WeightFn:
     table: np.ndarray
 
 
-def weight_n(N: int, power: float = 1.0) -> WeightFn:
+def weight_n(N: int, power: float) -> WeightFn:
     """n(k)^power with n(k) = sqrt(k/N)."""
     k = np.arange(N + 1)
     return WeightFn(N, (np.sqrt(k / N)) ** power)
@@ -185,7 +185,7 @@ def hat_operator(f: WeightFn, bundle: ProjectorBundle) -> np.ndarray:
     return out
 
 
-def random_symmetric_state(N: int, d: int, seed: int = 0) -> np.ndarray:
+def random_symmetric_state(N: int, d: int, seed: int) -> np.ndarray:
     """Normalized bosonic state from a symmetrized random tensor."""
     rng = np.random.default_rng(seed)
     t = rng.standard_normal((d,) * N) + 1j * rng.standard_normal((d,) * N)
@@ -203,7 +203,7 @@ def alpha_f_dense(psi: np.ndarray, bundle: ProjectorBundle,
 
 
 def reduced_density_dense(psi: np.ndarray, N: int, d: int,
-                          M: int = 1) -> np.ndarray:
+                          M: int) -> np.ndarray:
     """M-particle reduced density matrix of a first-quantized state."""
     mat = psi.reshape(d**M, d ** (N - M))
     gamma = mat @ mat.conj().T
@@ -286,7 +286,7 @@ def dense_to_fock(psi: np.ndarray, basis: FockBasis) -> np.ndarray:
 # executable identity suites
 
 
-def weight_algebra_suite(N: int = 3, d: int = 4, seed: int = 0) -> dict:
+def weight_algebra_suite(N: int, d: int, seed: int) -> dict:
     """Exact operator identities of the projector/weight calculus on dense
     matrices; returns a ledger mapping identity name to max defect."""
     rng = np.random.default_rng(seed)
@@ -387,7 +387,7 @@ def hat_dynamics_check(h: Callable, f: WeightFn, N: int, d: int,
 
 
 def perturbed_condensate(N: int, d: int, delta: float,
-                         seed: int = 0) -> tuple:
+                         seed: int) -> tuple:
     """Symmetric state with one-particle excitation amplitude delta.
 
     Returns (psi, phi): psi = normalized symmetrization of

@@ -4,7 +4,7 @@ The single-particle space is a periodic x-lattice tensored with a truncated
 set of transverse eigenmodes.  Bosonic symmetry is structural: states live in
 the occupation-number basis of the lattice modes.  The module assembles the
 (renormalized) many-body Hamiltonian, propagates it with a Lanczos
-exponential integrator, and extracts reduced density matrices, energies and
+exponential integrator, and extracts the one-particle density, energies and
 transverse-excitation probabilities.
 """
 
@@ -290,16 +290,18 @@ def one_body_matrix(spb: SingleParticleBasis) -> np.ndarray:
     return h
 
 
-def pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int = None,
-               m: int = None):
+def pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int | None,
+               m: int | None):
     """The pair interaction (1/2) sum K[o,a,b,c,d] a+_p a+_q a_r a_s with
     p = (g,a), q = (g+o,b), r = (g+o,c), s = (g,d), as arrays
     (p, q, r, s, coef) over the d = G_x * m lattice modes (g, j) = g * m + j,
     sites taken modulo G_x.
 
-    m = K.shape[1] and G_x = d / m; a passed G_x or m that disagrees is
-    refused.  coef holds 0.5 K; entries with |0.5 K| < 1e-16 are dropped, and
-    terms that share (p, q, r, s) are summed into one.
+    m = K.shape[1] and G_x = d / m; a G_x or m other than None that disagrees
+    is refused.  coef holds 0.5 K; entries with |0.5 K| at most 1e-12 times
+    max |0.5 K| are dropped, a cut far above the round-off (below 2e-14
+    relative) of entries that symmetry forbids, so an all-zero kernel keeps
+    no term.  Terms that share (p, q, r, s) are summed into one.
     """
     half = 0.5 * np.asarray(K)
     m_K = half.shape[1] if half.ndim == 5 else 0
@@ -308,7 +310,8 @@ def pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int = None,
         raise ManyBodyError(f"layout G_x = {G_x}, m = {m} does not fit "
                             f"d = {d} and a kernel of shape {half.shape}")
     G_x, m = d // m_K, m_K
-    o, a, b, c, dd = np.nonzero(np.abs(half) >= 1e-16)
+    size = np.abs(half)
+    o, a, b, c, dd = np.nonzero(size > 1e-12 * size.max(initial=0.0))
     g = np.arange(G_x)[:, None]
     g2 = (g + np.asarray(offsets)[o]) % G_x
     keys = np.stack(np.broadcast_arrays(g * m + a, g2 * m + b, g2 * m + c,
@@ -327,8 +330,8 @@ def _one_body(h_one, d: int) -> np.ndarray:
 
 
 def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
-                      offsets: np.ndarray = None, K: np.ndarray = None,
-                      G_x: int = None, m: int = None) -> sp.csr_matrix:
+                      offsets: np.ndarray, K: np.ndarray, G_x: int = None,
+                      m: int = None) -> sp.csr_matrix:
     """Second-quantized Hamiltonian: sum h_ij a+_i a_j plus
     (1/2) sum K[o,a,b,c,d] a+_(g,a) a+_(g+o,b) a_(g+o,c) a_(g,d).
 
@@ -353,10 +356,9 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
     diag = (occ * np.real(np.diag(h_one))).sum(axis=1)
     rows, cols, vals = [], [], []
     ii, jj = np.nonzero(np.abs(h_one - np.diag(np.diag(h_one))) > 1e-15)
-    monomials = [(ii[:, None], jj[:, None], h_one[ii, jj])]
-    if K is not None:
-        p, q, r, s, coef = pair_terms(offsets, K, d, G_x, m)
-        monomials.append((np.stack([p, q], 1), np.stack([r, s], 1), coef))
+    p, q, r, s, coef = pair_terms(offsets, K, d, G_x, m)
+    monomials = [(ii[:, None], jj[:, None], h_one[ii, jj]),
+                 (np.stack([p, q], 1), np.stack([r, s], 1), coef)]
     for create, annihilate, coef in monomials:
         term, tgt, src, amp = hop(basis, basis, create, annihilate)
         rows.append(tgt)
@@ -605,19 +607,12 @@ def lower(basis: FockBasis, psi: np.ndarray):
 
 
 def reduced_density(basis: FockBasis, psi: np.ndarray, M: int = 1) -> np.ndarray:
-    """M-particle reduced density matrix (M in {1, 2}), trace one."""
-    if M not in (1, 2):
-        raise ManyBodyError("only M in {1, 2} supported at desk scale")
-    N, d = basis.N, basis.d
-    if M == 2 and N < 2:
-        raise ManyBodyError("M = 2 requires N >= 2")
-    basis1, A = lower(basis, psi)
-    if M == 1:
-        gamma = (A @ A.conj().T) / N
-    else:
-        # rows of B are a_j a_i psi, flattened as i * d + j
-        B = lower(basis1, A)[1].reshape(d * d, -1)
-        gamma = (B @ B.conj().T) / (N * (N - 1))
+    """One-particle reduced density matrix gamma_1, trace one; M = 1 is the
+    only order accepted."""
+    if M != 1:
+        raise ManyBodyError(f"only the one-particle density, not M = {M}")
+    A = lower(basis, psi)[1]
+    gamma = (A @ A.conj().T) / basis.N
     return 0.5 * (gamma + gamma.conj().T)
 
 
@@ -676,7 +671,7 @@ def stationary_bound(h_one) -> float:
 
 
 def hartree_evolve(h_one, offsets, K, G_x: int, m: int, N: int,
-                   phi0: np.ndarray, T: float, dt: float = 1e-3):
+                   phi0: np.ndarray, T: float, dt: float):
     """Mean-field (Hartree) evolution of a one-body vector under the same
     lattice and kernel as the many-body model.
 

@@ -61,7 +61,7 @@ class Wave1D:
         return float(self.dx * (p[:n].sum() + p[-n:].sum()))
 
 
-def plane_wave(X: float, G: int, mode: int = 0) -> Wave1D:
+def plane_wave(X: float, G: int, mode: int) -> Wave1D:
     w = Wave1D(X, np.zeros(G, dtype=complex))
     k = np.pi * mode / X
     return replace(w, values=np.exp(1j * k * w.x) / np.sqrt(2.0 * X))
@@ -170,7 +170,7 @@ def report(w: Wave1D, pot: Potential1D, b: float) -> EnergyReport:
 
 
 def evolve(w0: Wave1D, pot: Potential1D, b: float, dt: float, T: float,
-           store_every: int = 1) -> list[Wave1D]:
+           store_every: int) -> list[Wave1D]:
     """Strang split-step evolution over [t0, t0 + T].
 
     Half kinetic step in Fourier space, full potential+nonlinear phase with a

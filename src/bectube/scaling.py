@@ -179,14 +179,15 @@ class TaylorDecomposition:
     rbar_samples: int
 
 
-def taylor_decompose(sp: ScalingPoint, frame: FrameField, twist: TwistSpec,
-                     n_samples: int = 10_000) -> TaylorDecomposition:
+def taylor_decompose(sp: ScalingPoint, frame: FrameField,
+                     twist: TwistSpec) -> TaylorDecomposition:
     """Sample the remainder supremum at the point sp (any object with
     ``eps`` and ``mu``).
 
     The remainder only matters on the interaction support, so ``rbar`` is the
-    supremum of |R| over a quasi-random cloud of pairs with |y| <= 0.5 in
-    each transverse coordinate, restricted to ||f_eps(r1) - f_eps(r2)|| < mu.
+    supremum of |R| over a quasi-random cloud of 20 000 pairs with
+    |y| <= 0.5 in each transverse coordinate, restricted to
+    ||f_eps(r1) - f_eps(r2)|| < mu.
     On a straight untwisted guide the embedding is the scaling itself, and R
     is exactly 0.
     """
@@ -194,7 +195,7 @@ def taylor_decompose(sp: ScalingPoint, frame: FrameField, twist: TwistSpec,
     from scipy.stats import qmc
 
     eps, mu = sp.eps, sp.mu
-    y_halfwidth = 0.5
+    n_samples, y_halfwidth = 20_000, 0.5
     margin = 0.05 * (frame.x[-1] - frame.x[0])
     lo, hi = frame.x[0] + margin, frame.x[-1] - margin - 2 * mu
 

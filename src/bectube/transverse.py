@@ -74,14 +74,16 @@ def _grid(extent1, extent2, n):
     return y1, y2
 
 
-def rectangle(a: float, b: float, n: int = 128, vperp=None) -> CrossSection:
-    """Rectangle (0, a) x (0, b); n interior nodes along the first axis."""
+def rectangle(a: float, b: float, n: int, vperp=None) -> CrossSection:
+    """Rectangle (0, a) x (0, b); n interior nodes along the first axis.
+    vperp, a callable of the node coordinates (Y1, Y2), is the transverse
+    potential, zero for None."""
     y1, y2 = _grid((0.0, a), (0.0, b), n)
     mask = np.ones((len(y1), len(y2)), dtype=bool)
     return CrossSection("rectangle", y1, y2, mask, _sample_vperp(vperp, y1, y2))
 
 
-def disk(radius: float = 1.0, n: int = 128) -> CrossSection:
+def disk(radius: float, n: int) -> CrossSection:
     """Disk of given radius centered at the origin."""
     R = float(radius)
     y1, y2 = _grid((-R, R), (-R, R), n)
@@ -91,7 +93,7 @@ def disk(radius: float = 1.0, n: int = 128) -> CrossSection:
                         levelset=lambda p1, p2: p1**2 + p2**2 - R**2)
 
 
-def ellipse(a: float, b: float, n: int = 128) -> CrossSection:
+def ellipse(a: float, b: float, n: int) -> CrossSection:
     """Ellipse with semi-axes a, b centered at the origin."""
     y1, y2 = _grid((-a, a), (-b, b), n)
     Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
@@ -109,13 +111,8 @@ def masked(y1, y2, mask, vperp=None) -> CrossSection:
 def _sample_vperp(vperp, y1, y2):
     if vperp is None:
         return np.zeros((len(y1), len(y2)))
-    if callable(vperp):
-        Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-        return np.asarray(vperp(Y1, Y2), dtype=float)
-    v = np.asarray(vperp, dtype=float)
-    if v.ndim == 0:
-        return np.full((len(y1), len(y2)), float(v))
-    return v
+    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
+    return np.asarray(vperp(Y1, Y2), dtype=float)
 
 
 @dataclass
@@ -325,7 +322,7 @@ def _arnoldi(op: Callable, n: int, k: int):
         f"{j + 1} steps")
 
 
-def dirichlet_modes(cs: CrossSection, m: int = 1) -> TransverseModes:
+def dirichlet_modes(cs: CrossSection, m: int) -> TransverseModes:
     """Compute the m lowest eigenpairs.
 
     A full rectangle with constant Vperp (no levelset, every node inside)

@@ -1,5 +1,6 @@
 """The benchmark's tracer reads the package's function names and argument
-names; a rename must fail here, not only in a traced benchmark run."""
+names, and its workloads call the package; a rename or a newly required
+parameter must fail here, not only in a benchmark run."""
 
 import ast
 import importlib
@@ -9,11 +10,13 @@ import textwrap
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 from bectube import manybody as mb
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACER = BENCH / "tracer.py"
 
 
 def _tracer():
@@ -61,3 +64,28 @@ def test_lanczos_hook_reads_bound_arguments():
                                                 result)
     assert counters["manybody.krylov_bytes_computed"] == 41 * v.nbytes
     assert counters["manybody.krylov_dims"] == [5]
+
+
+def test_workload_calls_bind():
+    # every call of a bectube module in the workloads, by the alias it is
+    # imported under, binds to the function's signature
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    modules = {alias.asname or alias.name: f"bectube.{alias.name}"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "bectube"
+               for alias in node.names}
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name)
+             and node.func.value.id in modules]
+    assert len(calls) >= 10
+    for call in calls:
+        module = importlib.import_module(modules[call.func.value.id])
+        sig = inspect.signature(getattr(module, call.func.attr))
+        assert not any(isinstance(a, ast.Starred) for a in call.args)
+        assert all(k.arg is not None for k in call.keywords)
+        try:
+            sig.bind(*call.args, **{k.arg: k.value for k in call.keywords})
+        except TypeError as exc:
+            pytest.fail(f"bench/workloads.py:{call.lineno}: {exc}")

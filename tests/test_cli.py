@@ -86,12 +86,16 @@ class TestConfig:
         {"cross_section": {"b": float("inf")}}, {"geometry": {"n_nodes": 1}},
         {"converge": {"eps0": 2.0}}, {"solver": {"X": -8.0}},
         {"solver": {"G": 100}}, {"cross_section": {"n": 0}},
+        {"solver": {"dt": 0.0}}, {"solver": {"dt": -1e-3}},
+        {"solver": {"store_every": 0}}, {"solver": {"sigma": 0.0}},
+        {"solver": {"sigma": -1.0}},
     ], ids=["dx_negative", "dx_zero", "G_x_zero", "G_x_two", "G_x_float",
             "T_zero", "T_negative", "m_zero", "m_float", "N_float",
             "N_string", "N_bool", "N_zero", "dt_string", "n_string",
             "initial_unknown", "radius_negative", "a_zero", "b_infinite",
             "n_nodes_one", "eps0_above_one", "X_negative",
-            "G_not_power_of_two", "n_zero"])
+            "G_not_power_of_two", "n_zero", "dt_zero", "dt_negative",
+            "store_every_zero", "sigma_zero", "sigma_negative"])
     def test_out_of_range_is_config_error(self, outdir, tmp_path, patch):
         # a negative dx silently dropped the interaction, G_x = 0 ended in
         # a traceback, and G_x < 3 merged a site's two bonds into one entry;
@@ -99,7 +103,9 @@ class TestConfig:
         # an integer, N = 0 exited as a numerical failure, and an unknown
         # initial wave ran a Gaussian; a disk of radius -1 ran with no
         # interaction support, one guide node ended in a traceback, and
-        # eps0 = 2, X = -8, G = 100 and n = 0 exited as numerical failures
+        # eps0 = 2, X = -8, G = 100, n = 0, dt <= 0, store_every = 0 and a
+        # Gaussian's sigma = 0 exited as numerical failures, and sigma = -1
+        # ran |sigma|
         ((section, table),) = patch.items()
         ((key, _),) = table.items()
         p = tmp_path / "c.json"
@@ -247,13 +253,6 @@ class TestMain:
             record = json.loads((run_dir / "record.json").read_text())
             assert run_dir.name == f"{record['subcommand']}-{record['digest']}"
             assert (run_dir / "scalars.json").is_file()
-
-    def test_negative_step_is_numerical_failure(self, outdir, tmp_path):
-        # a run that never steps must not report zero drifts
-        p = tmp_path / "c.json"
-        p.write_text('{"solver": {"dt": -0.001}}')
-        assert cli.main(["evolve", "--config", str(p)]) == 2
-        assert not list(tmp_path.rglob("scalars.json"))
 
     def test_evolve_on_thin_square_bump(self, outdir, tmp_path):
         # a 0.5 x 0.5 square gives b = 5.7 and the bump a shallow well:

@@ -15,7 +15,7 @@ from bectube import manybody as mb
 
 class TestWeightFunctions:
     def test_n_endpoints(self):
-        n = cd.weight_n(100)
+        n = cd.weight_n(100, 1.0)
         assert n.table[0] == 0.0 and n.table[100] == 1.0
         assert np.isclose(n.table[25], 0.5)
 
@@ -40,14 +40,14 @@ class TestWeightFunctions:
             cd.weight_m(100, 0.6)
 
     def test_shift_zero_padding(self):
-        n = cd.weight_n(100)
+        n = cd.weight_n(100, 1.0)
         assert cd.weight_shift(n, 1).table[100] == 0.0
         assert np.isclose(cd.weight_shift(n, 1).table[24], n.table[25])
         assert cd.weight_shift(n, -1).table[0] == 0.0
 
     def test_out_of_range_is_zero(self):
         # a shift past either end reads only indices outside 0..N
-        n = cd.weight_n(10)
+        n = cd.weight_n(10, 1.0)
         assert not cd.weight_shift(n, 11).table.any()
         assert not cd.weight_shift(n, -11).table.any()
 
@@ -202,7 +202,7 @@ class TestMeasures:
         psi = np.zeros(basis.dim)
         psi[0] = 1.0
         with pytest.raises(cd.CondensationError):
-            cd.alpha_f(basis, ref, psi, cd.weight_n(5))
+            cd.alpha_f(basis, ref, psi, cd.weight_n(5, 1.0))
 
 
 class TestBridges:

@@ -239,7 +239,8 @@ class TestHop:
             return ii[:, None], jj[:, None]
         if kind == "on_site_pairs":
             p, q, r, s, _ = mb.pair_terms(np.array([0]),
-                                          np.ones((1, 2, 2, 2, 2)), d)
+                                          np.ones((1, 2, 2, 2, 2)), d, None,
+                                          None)
             return np.stack([p, q], 1), np.stack([r, s], 1)
         modes = np.random.default_rng(d).integers(0, d, (40, 4))
         return modes[:, :2], modes[:, 2:]
@@ -307,9 +308,8 @@ class TestCondensateState:
         psi = mb.condensate_state(basis, phi)
         g1 = mb.reduced_density(basis, psi, M=1)
         assert np.allclose(g1, np.outer(phi, phi.conj()), atol=1e-12)
-        g2 = mb.reduced_density(basis, psi, M=2)
-        p2 = np.outer(np.kron(phi, phi), np.kron(phi, phi).conj())
-        assert np.allclose(g2, p2, atol=1e-12)
+        with pytest.raises(mb.ManyBodyError, match="one-particle"):
+            mb.reduced_density(basis, psi, M=2)
 
 
 class TestOneBody:
@@ -418,7 +418,7 @@ class TestHamiltonian:
         # (1, 2) product modes of the square, so a K entry with an odd number
         # of mode-1 indices is odd under y2 -> pi - y2 and vanishes; with
         # exact product modes those entries are round-off far below the
-        # 1e-16 assembly cut-off, and the count does not hinge on them
+        # assembly's relative cut-off, and the count does not hinge on them
         cfg = cli.load_config(None)
         G_x, dx = cfg["solver"]["G_x"], cfg["solver"]["dx"]
         N, eps, beta = (cfg["scaling"][k] for k in ("N", "eps", "beta"))
@@ -439,6 +439,23 @@ class TestHamiltonian:
                                       mb.one_body_matrix(spb), offsets,
                                       K_even, G_x=G_x, m=spb.m)
         assert (H_even != H).nnz == 0
+
+    @pytest.mark.parametrize("section", [
+        {"shape": "disk", "radius": r} for r in (0.98, 1.0, 1.02, 1.05)] + [
+        {"shape": "ellipse", "a": a, "b": 1.5} for a in (1.96, 2.0, 2.04, 2.1)
+    ], ids=lambda c: f"{c['shape']}_{c.get('radius', c.get('a'))}")
+    def test_sparsity_independent_of_round_off(self, section):
+        # the default lattice at N = 4 on curved cross-sections: the entries
+        # that symmetry forbids are round-off of 1e-16 to 1e-15, and an
+        # absolute 1e-16 cut kept 64, 96 or 128 pair terms by the shape's
+        # size; the relative cut keeps the 64 allowed ones everywhere
+        cfg = cli.load_config(None)
+        cfg["cross_section"].update(section)
+        spb, offsets, K, h, _ = cli._lattice(cfg, 4, cfg["scaling"]["eps"],
+                                             cli.build_modes(cfg))
+        assert len(mb.pair_terms(offsets, K, spb.d, None, None)[0]) == 64
+        H = mb.build_hamiltonian(mb.build_basis(spb.d, 4), h, offsets, K)
+        assert H.nnz == 32164
 
     @pytest.mark.parametrize("partner, subtracted", [(2.0, False),
                                                      (0.0, True)])
@@ -542,17 +559,21 @@ class TestHamiltonian:
             with pytest.raises(mb.ManyBodyError, match="layout"):
                 mb.build_hamiltonian(*args, **kw)
         with pytest.raises(mb.ManyBodyError, match="one-body"):
-            mb.build_hamiltonian(s["basis"], s["h"][:6, :6])
+            mb.build_hamiltonian(s["basis"], s["h"][:6, :6], s["offsets"],
+                                 s["K"])
         with pytest.raises(mb.ManyBodyError, match="layout"):
             mb.hartree_evolve(s["h"], s["offsets"], s["K"], 12, 1, 3,
-                              s["phi0"], T=0.01)
+                              s["phi0"], T=0.01, dt=1e-3)
 
     def test_noninteracting_ground_energy(self, modes):
+        # an all-zero kernel keeps no pair term
         spb = mb.SingleParticleBasis(G_x=4, dx=0.5, eps=0.5,
                                      transverse_energies=modes.energies)
         h = mb.one_body_matrix(spb)
         basis = mb.build_basis(spb.d, 2)
-        H = mb.build_hamiltonian(basis, h)
+        K = np.zeros((1,) + (spb.m,) * 4)
+        assert len(mb.pair_terms(np.array([0]), K, spb.d, None, None)[0]) == 0
+        H = mb.build_hamiltonian(basis, h, np.array([0]), K)
         e0_many = np.min(np.linalg.eigvalsh(H.toarray()))
         e0_one = np.min(np.linalg.eigvalsh(h))
         assert np.isclose(e0_many, 2 * e0_one, atol=1e-10)

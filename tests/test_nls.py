@@ -10,7 +10,7 @@ from bectube import nls
 
 class TestWave1D:
     def test_grid_properties(self):
-        w = nls.plane_wave(8.0, 256)
+        w = nls.plane_wave(8.0, 256, mode=0)
         assert w.G == 256
         assert np.isclose(w.dx, 16.0 / 256)
         assert np.isclose(w.x[0], -8.0)
@@ -91,19 +91,22 @@ class TestEvolveInterface:
     def test_focusing_rejected(self):
         w0 = nls.gaussian(8.0, 256)
         with pytest.raises(nls.NLSError, match="focusing"):
-            nls.evolve(w0, nls.free_potential(), -1.0, dt=1e-3, T=0.1)
+            nls.evolve(w0, nls.free_potential(), -1.0, dt=1e-3, T=0.1,
+                       store_every=1)
 
     def test_stability_margin(self):
         w0 = nls.gaussian(8.0, 256)
         with pytest.raises(nls.NLSError, match="stability"):
-            nls.evolve(w0, nls.free_potential(), 0.0, dt=0.5, T=1.0)
+            nls.evolve(w0, nls.free_potential(), 0.0, dt=0.5, T=1.0,
+                       store_every=1)
 
     def test_stability_checked_on_requested_dt(self):
         # dx^2/pi = 1.24e-3; the requested 1.3e-3 would be shortened to
         # 1.2e-3 to end at T, but the request itself is refused
         w0 = nls.gaussian(8.0, 256)
         with pytest.raises(nls.NLSError, match="stability"):
-            nls.evolve(w0, nls.free_potential(), 0.0, dt=1.3e-3, T=2.4e-3)
+            nls.evolve(w0, nls.free_potential(), 0.0, dt=1.3e-3, T=2.4e-3,
+                       store_every=1)
 
     def test_ends_at_requested_time(self):
         # T is not a multiple of dt: 101 steps of T/101 end at T, and the
@@ -177,7 +180,7 @@ class TestGroundState:
         w = nls.ground_state(pot, b, 8.0, 256, tol=1e-9)
         assert np.isclose(w.mass(), 1.0)
         # evolving the minimizer only changes the global phase
-        traj = nls.evolve(w, pot, b, dt=5e-4, T=0.2)
+        traj = nls.evolve(w, pot, b, dt=5e-4, T=0.2, store_every=1)
         dens0 = np.abs(w.values) ** 2
         densT = np.abs(traj[-1].values) ** 2
         assert np.max(np.abs(densT - dens0)) < 1e-6

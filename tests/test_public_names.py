@@ -1,11 +1,12 @@
-"""Every top-level name of ``bectube`` has a caller in the program, and so
-has every defaulted parameter.
+"""Every top-level name of ``bectube`` has a caller in the program, and
+every defaulted parameter has two: one that passes it and one that omits it.
 
 A public function that only tests call is either a reference implementation
 that the tests compare a product path against, listed in KEPT_ORACLES, or a
 duplicate path that should go.  A private one is a duplicate path: the tests
 compare against their own oracles.  A default that no program call
-overrides is a constant.
+overrides is a constant, and one that every program call overrides is a
+required parameter.
 
 These checks read names by AST, so they cannot see a method or a nested
 function that no program calls; ``test_program_reach.py`` runs the programs
@@ -89,9 +90,12 @@ def program_calls():
     return calls
 
 
-def test_every_default_has_a_program_caller():
-    calls = program_calls()
-    unset = []
+def defaulted_parameters():
+    """(file:function(parameter), function, parameter, positional
+    parameter names) of every defaulted parameter of src/bectube that the
+    rules below cover: AST ``defaults`` plus the non-None ``kw_defaults``,
+    without the test oracles and the defaults only a benchmark reads."""
+    found = []
     for path in (ROOT / "src" / "bectube").glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
             if (not isinstance(fn, ast.FunctionDef)
@@ -104,12 +108,27 @@ def test_every_default_has_a_program_caller():
                           if d is not None]
             if pos[:1] in (["self"], ["cls"]):
                 pos = pos[1:]
-            for name in defaulted:
-                if (fn.name, name) in BENCH_READ_DEFAULTS:
-                    continue
-                if not any(any(k.arg == name for k in call.keywords)
-                           or (name in pos
-                               and pos.index(name) < len(call.args))
-                           for call in calls.get(fn.name, [])):
-                    unset.append(f"{path.name}:{fn.name}({name})")
+            found += [(f"{path.name}:{fn.name}({name})", fn.name, name, pos)
+                      for name in defaulted
+                      if (fn.name, name) not in BENCH_READ_DEFAULTS]
+    return found
+
+
+def passes(call, name, pos) -> bool:
+    """Whether call passes the parameter name, by keyword or position."""
+    return (any(k.arg == name for k in call.keywords)
+            or (name in pos and pos.index(name) < len(call.args)))
+
+
+def test_every_default_has_a_program_caller():
+    calls = program_calls()
+    unset = [key for key, fn, name, pos in defaulted_parameters()
+             if not any(passes(c, name, pos) for c in calls.get(fn, []))]
     assert sorted(unset) == []
+
+
+def test_every_default_is_read_by_a_program():
+    calls = program_calls()
+    unread = [key for key, fn, name, pos in defaulted_parameters()
+              if all(passes(c, name, pos) for c in calls.get(fn, []))]
+    assert sorted(unread) == []

@@ -117,7 +117,7 @@ class TestTaylorDecomposition:
 
     def test_straight_guide_remainder_vanishes(self, line_frame):
         p = sc.scaling_params(10, 0.1, 0.25)
-        td = sc.taylor_decompose(p, line_frame, geo.no_twist(), n_samples=2000)
+        td = sc.taylor_decompose(p, line_frame, geo.no_twist())
         assert td.rbar == 0.0 and td.rbar_samples > 0
         # the embedding of the straight guide is the scaling r -> r_eps, so
         # the remainder vanishes on every pair, on the interaction support
@@ -133,16 +133,14 @@ class TestTaylorDecomposition:
 
     def test_curved_guide_decomposition(self, circle_frame):
         p = sc.scaling_params(10, 0.1, 0.25)
-        td = sc.taylor_decompose(p, circle_frame, geo.no_twist(),
-                                 n_samples=4000)
+        td = sc.taylor_decompose(p, circle_frame, geo.no_twist())
         assert td.rbar > 0.0 and td.rbar_samples > 0
 
     def test_accepts_plain_namespace(self, circle_frame):
         p = sc.scaling_params(10, 0.1, 0.25)
         td = sc.taylor_decompose(types.SimpleNamespace(eps=p.eps, mu=p.mu),
-                                 circle_frame, geo.no_twist(), n_samples=1000)
-        assert td == sc.taylor_decompose(p, circle_frame, geo.no_twist(),
-                                         n_samples=1000)
+                                 circle_frame, geo.no_twist())
+        assert td == sc.taylor_decompose(p, circle_frame, geo.no_twist())
         assert td.rbar > 0.0
 
 

@@ -166,7 +166,8 @@ class TestProductModes:
     @pytest.mark.parametrize("cs, m", [
         (tv.rectangle(2.0, 1.0, n=63), 3),
         (tv.rectangle(4.0, 1.0, n=63), 4),
-        (tv.rectangle(1.0, 1.0, n=48, vperp=3.0), 3),
+        (tv.rectangle(1.0, 1.0, n=48,
+                      vperp=lambda y1, y2: np.full(y1.shape, 3.0)), 3),
     ], ids=["2x1", "4x1", "square_vperp"])
     def test_matches_iterative_oracle(self, cs, m):
         modes = tv.dirichlet_modes(cs, m=m)
