@@ -394,15 +394,35 @@ def _lattice(cfg: dict, N: int, eps: float, modes):
     return spb, offsets, K, h_one, phi0
 
 
+def _measure(basis, H, spb, psi, phi) -> dict:
+    """The observables of one frame psi against the condensate of the
+    one-body reference phi: the sector weights pk, e_psi, the trace
+    distance of gamma_1 to phi's projector and the excitation
+    probability."""
+    ref = condensation.condensate_ref(phi)
+    g1 = manybody.reduced_density(basis, psi)
+    return {"pk": condensation.sector_weights(basis, ref, psi),
+            "e_psi": manybody.energy_per_particle(basis, psi, H),
+            "trace_dist": manybody.trace_distance(g1, ref.projector),
+            "excitation": manybody.excitation_probability(basis, psi, spb)}
+
+
 def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     """One (N, eps) run: exact evolution from the condensate of phi0, with
     condensation observables against the mean-field reference at the
     initial time and 10 stored times, T / 10 apart, that one Lanczos call
-    reaches."""
+    reaches.
+
+    The lattice is a ring with an offset-only kernel, and phi0 is its
+    k = 0 ground state, so the exact evolution runs in the zero-momentum
+    block of the momentum modes (``manybody.MomentumBlock``).  The Hartree
+    reference runs on the lattice modes and each frame is mapped into the
+    momentum modes; a reference off k = 0 is refused."""
     spb, offsets, K, h_one, phi0 = _lattice(cfg, N, eps, modes)
-    basis = manybody.build_basis(spb.d, N)
+    basis = manybody.momentum_block(spb.G_x, spb.m, N)
     H = manybody.build_hamiltonian(basis, h_one, offsets, K)
-    psi0 = manybody.condensate_state(basis, phi0)
+    psi0 = manybody.condensate_state(
+        basis, manybody.momentum_modes(phi0, spb.G_x))
 
     steps = 10
     frames = manybody.evolve_state(basis, H, psi0, T=T, dt=T / steps,
@@ -412,6 +432,8 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     stride = -(-manybody._steps(T, min(1e-3, T / 1000))[0] // steps)
     hart = manybody.hartree_evolve(h_one, offsets, K, spb.G_x, spb.m, N, phi0,
                                    T=T, dt=T / (stride * steps))
+    refs = manybody.momentum_modes(np.array([phi for _, phi in
+                                             hart[::stride]]), spb.G_x)
     # e_phi, the Hartree energy of the reference, is the many-body energy per
     # particle of its condensate: psi0's at t = 0, and the Hartree flow
     # conserves it
@@ -423,20 +445,16 @@ def _manybody_point(cfg: dict, N: int, eps: float, modes, T: float):
     # on the static lattice
     g = float(np.sqrt(1.0 + abs(e0)))
     rows = []
-    for (tpsi, psi), (_, phi) in zip(frames, hart[::stride]):
-        ref = condensation.condensate_ref(phi)
-        pk = condensation.sector_weights(basis, ref, psi)
-        a_n2 = float(np.dot(condensation.weight_n(N, 2.0).table, pk))
+    for (tpsi, psi), phi in zip(frames, refs):
+        obs = _measure(basis, H, spb, psi, phi)
+        pk = obs.pop("pk")
         a_m = float(np.dot(mweight.table, pk))
-        e_psi = manybody.energy_per_particle(basis, psi, H)
-        g1 = manybody.reduced_density(basis, psi)
-        tdist = manybody.trace_distance(g1, ref.projector)
         rows.append({
-            "t": tpsi, "alpha_n2": a_n2, "alpha_m": a_m,
-            "alpha_xi": condensation.alpha_xi_value(a_m, e_psi, e0),
-            "trace_dist": tdist, "e_psi": e_psi, "e_phi": e0,
-            "excitation": manybody.excitation_probability(basis, psi, spb),
-            "g": g,
+            "t": tpsi, "alpha_n2": float(np.dot(
+                condensation.weight_n(N, 2.0).table, pk)),
+            "alpha_m": a_m,
+            "alpha_xi": condensation.alpha_xi_value(a_m, obs["e_psi"], e0),
+            "e_phi": e0, "g": g, **obs,
         })
     return rows
 
@@ -679,7 +697,9 @@ def _verify_registry():
     def small_system():
         """N = 3 on the default lattice cut to 6 sites, with the square's
         modes on 63 x 63 nodes, evolved to T = 0.2 in steps of 0.01 with a
-        frame every 5 steps."""
+        frame every 5 steps, on the lattice modes: a namespace of the
+        lattice (spb, offsets, K, h, phi0), the basis, H, psi0 and the
+        frames."""
         cfg = load_config(None)
         cfg["solver"]["G_x"], cfg["cross_section"]["n"] = 6, 63
         spb, offsets, K, h, phi0 = _lattice(cfg, 3, cfg["scaling"]["eps"],
@@ -689,38 +709,61 @@ def _verify_registry():
         psi0 = manybody.condensate_state(basis, phi0)
         frames = manybody.evolve_state(basis, H, psi0, T=0.2, dt=0.01,
                                        store_every=5)
-        return basis, H, psi0, frames
+        return types.SimpleNamespace(spb=spb, offsets=offsets, K=K, h=h,
+                                     phi0=phi0, basis=basis, H=H, psi0=psi0,
+                                     frames=frames)
 
     @add("manybody", "hermiticity_and_unitarity")
     def _():
-        basis, H, psi0, frames = small_system()
-        herm = abs(H - H.getH()).max()
-        drift = max(abs(np.linalg.norm(p) - 1.0) for _, p in frames)
+        s = small_system()
+        herm = abs(s.H - s.H.getH()).max()
+        drift = max(abs(np.linalg.norm(p) - 1.0) for _, p in s.frames)
         d = float(max(herm, drift))
         return d < 1e-9, d
 
     @add("manybody", "krylov_vs_dense")
     def _():
-        basis, H, psi0, frames = small_system()
-        dense = manybody.evolve_state_dense(H, psi0, [0.2])
+        s = small_system()
+        dense = manybody.evolve_state_dense(s.H, s.psi0, [0.2])
         ref = dense[0][1] / np.linalg.norm(dense[0][1])
-        d = float(np.linalg.norm(frames[-1][1] - ref))
+        d = float(np.linalg.norm(s.frames[-1][1] - ref))
         return d < 1e-8, d
 
     @add("manybody", "static_energy_conservation")
     def _():
-        basis, H, psi0, frames = small_system()
-        e = [manybody.energy_per_particle(basis, p, H) for _, p in frames]
+        s = small_system()
+        e = [manybody.energy_per_particle(s.basis, p, s.H)
+             for _, p in s.frames]
         d = max(abs(v - e[0]) for v in e)
         return d < 1e-8, d
 
     @add("manybody", "gamma1_positive_unit_trace")
     def _():
-        basis, H, psi0, frames = small_system()
-        g1 = manybody.reduced_density(basis, frames[-1][1])
+        s = small_system()
+        g1 = manybody.reduced_density(s.basis, s.frames[-1][1])
         ev = np.linalg.eigvalsh(g1)
         d = float(max(-ev.min(), abs(np.trace(g1).real - 1.0)))
         return d < 1e-10, d
+
+    @add("manybody", "momentum_block_matches_real_space")
+    def _():
+        # the same run in the zero-momentum block: alpha_n2, trace_dist,
+        # excitation and e_psi against the condensate of phi0 at every frame
+        s = small_system()
+        block = manybody.momentum_block(s.spb.G_x, s.spb.m, 3)
+        H = manybody.build_hamiltonian(block, s.h, s.offsets, s.K)
+        phi = manybody.momentum_modes(s.phi0, s.spb.G_x)
+        frames = manybody.evolve_state(
+            block, H, manybody.condensate_state(block, phi), T=0.2, dt=0.01,
+            store_every=5)
+        n2 = condensation.weight_n(3, 2.0).table
+        d = 0.0
+        for (_, psi), (_, psi_k) in zip(s.frames, frames):
+            a = _measure(s.basis, s.H, s.spb, psi, s.phi0)
+            b = _measure(block, H, s.spb, psi_k, phi)
+            d = max(d, abs(np.dot(n2, a.pop("pk") - b.pop("pk"))),
+                    *(abs(a[key] - b[key]) for key in a))
+        return len(frames) == len(s.frames) and d <= 1e-12, float(d)
 
     @add("manybody", "first_quantized_bridge")
     def _():

@@ -10,6 +10,7 @@ transverse-excitation probabilities.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -89,20 +90,58 @@ class FockBasis:
 
     @cached_property
     def minus(self) -> "FockBasis":
-        """The (N-1)-particle basis over the same modes, built once."""
+        """The (N-1)-particle basis over the same modes, ``build_basis``'s
+        shared one."""
         return build_basis(self.d, self.N - 1)
 
     @cached_property
     def lowering(self):
         """``hop`` of every annihilator a_i into ``minus``, built once:
-        (modes, target rows, source rows, amplitudes)."""
-        return hop(self, self.minus, np.empty((self.d, 0)),
-                   np.arange(self.d)[:, None])
+        (modes, target rows, source rows, amplitudes), the modes in the
+        smallest integer type that holds them."""
+        modes, tgt, src, amp = hop(self, self.minus, np.empty((self.d, 0)),
+                                   np.arange(self.d)[:, None])
+        return modes.astype(np.min_scalar_type(self.d)), tgt, src, amp
+
+
+@dataclass
+class MomentumBlock(FockBasis):
+    """The states of zero total momentum of the N-boson basis over the
+    momentum modes (k, j) -> k * m + j of a ring of G_x sites:
+    sum k n_(k, j) = 0 mod G_x.  Rows keep the basis order; ranks holds
+    each row's position in the full basis, increasing.  Its ``minus`` is
+    the full (N-1)-particle basis."""
+
+    G_x: int
+    ranks: np.ndarray                    # (dim,) int32
+
+    @cached_property
+    def _rows(self) -> np.ndarray:
+        """The row of every full-basis rank, -1 off the block."""
+        rows = np.full(comb(self.d + self.N - 1, self.N), -1, dtype=np.int32)
+        rows[self.ranks] = np.arange(self.dim, dtype=np.int32)
+        return rows
+
+    def find(self, ranks: np.ndarray) -> np.ndarray:
+        """The rows of full-basis ranks; a rank outside the block is
+        refused."""
+        rows = self._rows[ranks]
+        if np.any(rows < 0):
+            raise ManyBodyError("a monomial leaves the zero-momentum block")
+        return rows
 
 
 def build_basis(d: int, N: int) -> FockBasis:
-    """Enumerate the symmetric N-particle basis over d modes, at most 10^6
-    states and N <= 127, the largest occupation an int8 holds.
+    """The symmetric N-particle basis over d modes, at most 10^6 states and
+    N <= 127, the largest occupation an int8 holds.  A process builds one
+    basis per (d, N) and every caller shares it, with the ``minus`` chain
+    and the ``lowering`` maps it caches."""
+    return _enumerate(d, N)
+
+
+@functools.cache
+def _enumerate(d: int, N: int) -> FockBasis:
+    """Enumerate the basis of ``build_basis``.
 
     The occupations of the last k modes holding n particles are the blocks
     n0 = n..0 stacked in that order, each n0 in front of the last k - 1
@@ -135,6 +174,18 @@ def build_basis(d: int, N: int) -> FockBasis:
     return FockBasis(N=N, d=d, occupations=occ)
 
 
+def momentum_block(G_x: int, m: int, N: int) -> MomentumBlock:
+    """The zero-momentum block of N bosons over the G_x * m momentum modes,
+    filtered from ``build_basis``'s full basis."""
+    full = build_basis(G_x * m, N)
+    momentum = np.zeros(full.dim, dtype=np.int64)
+    for i, n_i in enumerate(full.occupations.T):
+        momentum += (i // m) * n_i.astype(np.int64)
+    ranks = np.flatnonzero(momentum % G_x == 0).astype(np.int32)
+    return MomentumBlock(N=N, d=full.d, occupations=full.occupations[ranks],
+                         G_x=G_x, ranks=ranks)
+
+
 def hop(basis: FockBasis, target: FockBasis, create, annihilate):
     """Matrix elements of T monomials a+_{p_1}..a+_{p_k} a_{s_1}..a_{s_l}.
 
@@ -144,17 +195,23 @@ def hop(basis: FockBasis, target: FockBasis, create, annihilate):
     basis state cols to amps times target state rows, once for every source
     state it does not annihilate.  The operators act right to left.
 
-    No target occupation is built.  The amplitude multiplies the source
-    occupations the operators see: a_{s_c} sees n_s less the annihilators to
-    its right on s, a+_{p_c} sees n_p less every annihilator on p, plus the
-    creators to its right on p, plus one.  The target's rank is the source's
-    plus the sum over i of T[i, L_{i+1} + delta_i] - T[i, L_{i+1}] (T the
-    binomial table, see ``FockBasis``), where the monomial shifts L_{i+1} by
+    Monomials that annihilate the same modes share one mask of the source
+    states they do not annihilate, built once; from there every table is
+    one entry per returned element.  No target occupation is built.  The
+    amplitude multiplies the source occupations the operators see: a_{s_c}
+    sees n_s less the annihilators to its right on s, a+_{p_c} sees n_p
+    less every annihilator on p, plus the creators to its right on p, plus
+    one.  The target's rank is the source's plus the sum over i of
+    T[i, L_{i+1} + delta_i] - T[i, L_{i+1}] (T the binomial table, see
+    ``FockBasis``), where the monomial shifts L_{i+1} by
     delta_i = (k - l) - #(create <= i) + #(annihilate <= i).  delta is
     constant between the monomial's modes, so with running prefix sums of
     these differences over the modes, one per shift value, the sum takes two
     gathers at each mode where delta changes: at most 2 (k + l) per entry,
-    whatever the span of the monomial (a_i shifts all modes below i).
+    whatever the span of the monomial (a_i shifts all modes below i).  The
+    update is additive, so a ``MomentumBlock`` source starts from its rows'
+    full-basis ranks, and a block target looks the ranks up, refusing a
+    target outside the block.
     """
     create = np.asarray(create, dtype=np.intp)
     annihilate = np.asarray(annihilate, dtype=np.intp)
@@ -165,61 +222,89 @@ def hop(basis: FockBasis, target: FockBasis, create, annihilate):
     # taken[t, c]: annihilators right of column c on the same mode; gain[t,
     # c]: the occupation a+ in column c adds to n_p after the operators
     # right of it
-    taken = np.triu(annihilate[:, :, None] == annihilate[:, None, :], 1).sum(2)
-    gain = (1 + np.triu(create[:, :, None] == create[:, None, :], 1).sum(2)
-            - (create[:, :, None] == annihilate[:, None, :]).sum(2))
-
-    def seen(modes, shift):
-        # (T, dim): the occupation the operator of one column sees
-        return np.add(by_mode[modes], shift[:, None], dtype=np.int8)
-
-    ok = np.ones((len(annihilate), basis.dim), dtype=bool)
+    taken = np.zeros(annihilate.shape, dtype=int)
+    gain = np.ones(create.shape, dtype=int)
     for c in range(l):
-        ok &= seen(annihilate[:, c], -taken[:, c]) > 0
-    counts = np.count_nonzero(ok, axis=1)
-    term = np.repeat(np.arange(len(ok), dtype=np.int32), counts)
-    cols = (np.flatnonzero(ok) - np.repeat(np.arange(len(ok)) * basis.dim,
-                                           counts)).astype(np.int32)
-    f = np.ones(len(cols))
-    for c in range(l):
-        f *= seen(annihilate[:, c], -taken[:, c])[ok]
+        taken[:, c] += (annihilate[:, c + 1:] == annihilate[:, c, None]).sum(1)
+        gain -= create == annihilate[:, c, None]
     for c in range(k):
-        f *= seen(create[:, c], gain[:, c])[ok]
-    del ok
+        gain[:, c] += (create[:, c + 1:] == create[:, c, None]).sum(1)
 
-    # delta[t, i] for i = 0..d-1 (0 at i = d-1).  P[c, state] holds the
+    # one mask per group of equal annihilated modes: the group's entries,
+    # (group, col) in order, and the factors its annihilators see
+    key = (np.ravel_multi_index(annihilate.T, (basis.d,) * l) if l
+           else np.zeros(len(annihilate), dtype=np.intp))
+    _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    ann, taken = annihilate[first], taken[first]
+    # ok[g, state]: n > taken on every annihilated mode; above[c]: n > c
+    above = by_mode > np.arange(l)[:, None, None]
+    ok = np.ones((len(first), basis.dim), dtype=bool)
+    for c in range(l):
+        ok &= above[taken[:, c], ann[:, c]]
+    del above
+    in_group = np.count_nonzero(ok, axis=1)
+    g_of, g_cols = np.nonzero(ok)
+    del ok
+    g_amp = np.ones(len(g_cols))
+    for c in range(l):
+        g_amp *= by_mode[ann[g_of, c], g_cols] - taken[g_of, c]
+    del g_of
+    # each monomial takes its group's entries
+    counts = in_group[group]
+    term = np.repeat(np.arange(len(group), dtype=np.int32), counts)
+    pick = (np.repeat((np.cumsum(in_group) - in_group)[group]
+                      - np.cumsum(counts) + counts, counts)
+            + np.arange(counts.sum()))
+    cols = g_cols[pick].astype(np.int32)
+    f = g_amp[pick]
+    del pick, g_cols, g_amp
+    for c in range(k):
+        f *= by_mode[create[term, c], cols] + gain[term, c]
+
+    # delta[t, i] for i = 0..d-1 (0 at i = d-1), between -l and k;
+    # code[t, i] numbers the shifts that occur.  P[c, state] holds the
     # prefix sum over i < x of T[i, L_{i+1} + shifts[c]] - T[i, L_{i+1}] at
     # mode x, with table indices clipped: over a run i = a..b-1 of one shift
     # the clipped terms cancel in P(b) - P(a), so the rank update is the
     # sum over the modes x where delta changes, the events, of
     # P[delta_{x-1}](x) - P[delta_x](x)
     modes = np.arange(basis.d)
-    delta = ((k - l) - (create[:, :, None] <= modes).sum(1)
-             + (annihilate[:, :, None] <= modes).sum(1))
-    shifts, code = np.unique(delta, return_inverse=True)
-    code = code.reshape(delta.shape).astype(np.int8)
-    # the events in mode order, each over its monomial's entries
-    # start[t]:start[t + 1]; those of mode x are bounds[x - 1]:bounds[x]
+    at = np.arange(len(group))[:, None] * basis.d
+    size = len(group) * basis.d
+    delta = (k - l) + np.cumsum(
+        (np.bincount((at + annihilate).ravel(), minlength=size)
+         - np.bincount((at + create).ravel(), minlength=size))
+        .reshape(-1, basis.d), axis=1)
+    used = np.bincount((delta + l).ravel(), minlength=k + l + 1) > 0
+    shifts = np.flatnonzero(used) - l
+    code = (np.cumsum(used) - 1).astype(np.int32)[delta + l]
+    # the events in mode order: those of mode x are the monomials
+    # t_ev[bounds[x - 1]:bounds[x]], each over its entries
+    # start[t]:start[t + 1], built one mode at a time
     x_ev, t_ev = np.nonzero((code[:, :-1] != code[:, 1:]).T)
-    start = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
-    n = start[t_ev + 1] - start[t_ev]
-    e = (np.repeat(start[t_ev] - np.cumsum(n, dtype=np.int32) + n, n)
-         + np.arange(n.sum(), dtype=np.int32))
-    src = cols[e]
-    before = np.repeat(code[t_ev, x_ev], n)
-    after = np.repeat(code[t_ev, x_ev + 1], n)
-    bounds = np.concatenate([[0], np.cumsum(n)])[np.searchsorted(x_ev, modes)]
+    bounds = np.searchsorted(x_ev, modes)
+    start = np.cumsum(counts) - counts
 
     table = (basis if basis.N >= target.N else target)._binomials
-    rows = cols.copy()
+    rows = (basis.ranks[cols] if isinstance(basis, MomentumBlock)
+            else cols.copy())
     P = np.zeros((len(shifts), basis.dim), dtype=np.int64)
+    flat = P.reshape(-1)
     L = np.full(basis.dim, basis.N, dtype=np.intp)
     for x in range(1, basis.d):
         L -= by_mode[x - 1]
         P += (np.take(table[x - 1], L + shifts[:, None], mode="clip")
               - table[x - 1, L])
-        ev = slice(bounds[x - 1], bounds[x])
-        rows[e[ev]] += P[before[ev], src[ev]] - P[after[ev], src[ev]]
+        t = t_ev[bounds[x - 1]:bounds[x]]
+        n = counts[t]
+        e = np.repeat(start[t] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        src = cols[e]
+        rows[e] += (np.take(flat, np.repeat(code[t, x - 1] * basis.dim, n)
+                            + src)
+                    - np.take(flat, np.repeat(code[t, x] * basis.dim, n)
+                              + src))
+    if isinstance(target, MomentumBlock):
+        rows = target.find(rows)
     return term, rows, cols, np.sqrt(f)
 
 
@@ -290,6 +375,20 @@ def one_body_matrix(spb: SingleParticleBasis) -> np.ndarray:
     return h
 
 
+def _half_kernel(K: np.ndarray, d: int, G_x: int | None, m: int | None):
+    """(half, G_x, m): 0.5 K with the entries ``pair_terms`` drops set to
+    0, and the layout it derives and checks."""
+    half = 0.5 * np.asarray(K)
+    m_K = half.shape[1] if half.ndim == 5 else 0
+    if not m_K or d % m_K or m not in (None, m_K) \
+            or G_x not in (None, d // m_K):
+        raise ManyBodyError(f"layout G_x = {G_x}, m = {m} does not fit "
+                            f"d = {d} and a kernel of shape {half.shape}")
+    size = np.abs(half)
+    return (np.where(size > 1e-12 * size.max(initial=0.0), half, 0.0),
+            d // m_K, m_K)
+
+
 def pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int | None,
                m: int | None):
     """The pair interaction (1/2) sum K[o,a,b,c,d] a+_p a+_q a_r a_s with
@@ -303,15 +402,8 @@ def pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int | None,
     relative) of entries that symmetry forbids, so an all-zero kernel keeps
     no term.  Terms that share (p, q, r, s) are summed into one.
     """
-    half = 0.5 * np.asarray(K)
-    m_K = half.shape[1] if half.ndim == 5 else 0
-    if not m_K or d % m_K or m not in (None, m_K) \
-            or G_x not in (None, d // m_K):
-        raise ManyBodyError(f"layout G_x = {G_x}, m = {m} does not fit "
-                            f"d = {d} and a kernel of shape {half.shape}")
-    G_x, m = d // m_K, m_K
-    size = np.abs(half)
-    o, a, b, c, dd = np.nonzero(size > 1e-12 * size.max(initial=0.0))
+    half, G_x, m = _half_kernel(K, d, G_x, m)
+    o, a, b, c, dd = np.nonzero(half)
     g = np.arange(G_x)[:, None]
     g2 = (g + np.asarray(offsets)[o]) % G_x
     keys = np.stack(np.broadcast_arrays(g * m + a, g2 * m + b, g2 * m + c,
@@ -320,6 +412,117 @@ def pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int | None,
     coef = np.zeros(keys.shape[1], dtype=half.dtype)
     np.add.at(coef, inv.ravel(), np.tile(half[o, a, b, c, dd], G_x))
     return (*keys, coef)
+
+
+# ---------------------------------------------------------------------------
+# the zero-momentum block
+#
+# On the ring the lattice modes (g, j) map to momentum modes (k, j), mode
+# k * m + j, by the unitary DFT over x:
+# b_(k,j) = G_x^(-1/2) sum_g exp(-2 pi i k g / G_x) a_(g,j).  A circulant
+# one-body matrix and an offset-only kernel conserve the total momentum, so
+# a condensate of a k = 0 orbital evolves inside ``MomentumBlock``.
+
+
+def _dft(G_x: int) -> np.ndarray:
+    """The unitary DFT over x, F[k, g] = exp(-2 pi i k g / G_x) / sqrt(G_x),
+    its phase reduced modulo G_x."""
+    k = np.arange(G_x)
+    return np.exp(-2j * np.pi * (np.outer(k, k) % G_x) / G_x) / np.sqrt(G_x)
+
+
+def momentum_modes(v: np.ndarray, G_x: int) -> np.ndarray:
+    """The one-body vectors v (..., d) over the lattice modes mapped to the
+    momentum modes.  The block holds the product states of k = 0 orbitals
+    only, so a vector whose weight off k = 0 exceeds 1e-20 of its norm
+    squared is refused; round-off leaves 1e-32 to 2e-28 on the ground
+    states and Hartree frames of the CLI's lattices.  Below that bound the
+    weight stays in the vector and the block drops it from a product
+    state, which moves an observable by about N times the weight."""
+    v = np.asarray(v)
+    w = np.einsum("kg,...gj->...kj", _dft(G_x),
+                  v.reshape(v.shape[:-1] + (G_x, -1))).reshape(v.shape)
+    m = v.shape[-1] // G_x
+    off = np.sum(np.abs(w[..., m:]) ** 2, axis=-1)
+    if np.any(off > 1e-20 * np.sum(np.abs(w) ** 2, axis=-1)):
+        raise ManyBodyError(f"a one-body state with weight "
+                            f"{np.max(off):.1e} off k = 0 leaves the "
+                            f"zero-momentum block")
+    return w
+
+
+def _momentum_one_body(h_one: np.ndarray, G_x: int) -> np.ndarray:
+    """F h F^dagger over the momentum modes, F the DFT over x.  A one-body
+    matrix that is not circulant in x couples momenta: an entry off the
+    k = k' blocks above ``stationary_bound`` is refused, and the round-off
+    below it is set to 0."""
+    d = len(h_one)
+    F = _dft(G_x)
+    hk = np.einsum("kg,gahb,lh->kalb", F,
+                   h_one.reshape(G_x, d // G_x, G_x, d // G_x), F.conj())
+    same_k = np.eye(G_x, dtype=bool)[:, None, :, None]
+    off = np.abs(np.where(same_k, 0.0, hk)).max()
+    if off > stationary_bound(h_one):
+        raise ManyBodyError(f"one-body matrix not circulant in x: it couples "
+                            f"momenta by {off:.1e}")
+    return np.where(same_k, hk, 0.0).reshape(d, d)
+
+
+def momentum_pair_terms(offsets: np.ndarray, K: np.ndarray, d: int,
+                        G_x: int | None, m: int | None):
+    """``pair_terms``'s interaction over the momentum modes, as arrays
+    (p, q, r, s, coef) of b+_p b+_q b_r b_s with p <= q and r <= s.
+
+    With V(k) = sum_o K[o] exp(-2 pi i k o / G_x) over the kernel
+    ``pair_terms`` keeps, the interaction is
+    1/(2 G_x) sum V(k_q - k_r)[a, b, c, dd] b+_p b+_q b_r b_s over
+    p = (k_p, a), q = (k_q, b), r = (k_r, c), s = (k_s, dd) with
+    k_p + k_q = k_r + k_s mod G_x.  Creators commute, and so do
+    annihilators, so every ordering of one pair of modes is summed into
+    one term: each annihilated pair r <= s meets every created pair p <= q
+    of its total momentum, pairs grouped by the annihilated one.  A term
+    whose |coef| is at most 1e-12 max |V| / (2 G_x), a sum of symmetry-
+    forbidden round-off, is dropped."""
+    half, G_x, m = _half_kernel(K, d, G_x, m)
+    k = np.arange(G_x)
+    phase = np.exp(-2j * np.pi * (np.multiply.outer(k, offsets) % G_x) / G_x)
+    V = ((phase[:, :, None] * half.reshape(len(offsets), -1)).sum(1)
+         .reshape((G_x,) + half.shape[1:]) / G_x)
+    # the pairs i <= j by total momentum; pair y meets the n[tot[y]] pairs
+    # of its total, which start at (cumsum(n) - n)[tot[y]]
+    i, j = np.triu_indices(d)
+    tot = (i // m + j // m) % G_x
+    order = np.argsort(tot, kind="stable")
+    i, j, tot = i[order], j[order], tot[order]
+    n = np.bincount(tot, minlength=G_x)
+    meets = n[tot]
+    y = np.repeat(np.arange(len(i)), meets)
+    x = (np.repeat((np.cumsum(n) - n)[tot] - np.cumsum(meets) + meets, meets)
+         + np.arange(meets.sum()))
+    p, q, r, s = i[x], j[x], i[y], j[y]
+
+    def v(p, q, r, s):
+        return V[(q // m - r // m) % G_x, p % m, q % m, r % m, s % m]
+
+    coef = (v(p, q, r, s) + (p != q) * v(q, p, r, s)
+            + (r != s) * (v(p, q, s, r) + (p != q) * v(q, p, s, r)))
+    keep = np.abs(coef) > 1e-12 * np.abs(V).max(initial=0.0)
+    return p[keep], q[keep], r[keep], s[keep], coef[keep]
+
+
+def _folded(terms, d: int):
+    """``pair_terms``'s terms over d modes with p <= q and r <= s: creators
+    commute, and so do annihilators, so the orderings of one pair of modes
+    are summed into one term, and ``hop`` finds each matrix element once
+    per term."""
+    p, q, r, s, coef = terms
+    p, q = np.minimum(p, q), np.maximum(p, q)
+    r, s = np.minimum(r, s), np.maximum(r, s)
+    keys, first, inv = np.unique(((p * d + q) * d + r) * d + s,
+                                 return_index=True, return_inverse=True)
+    out = np.zeros(len(keys), dtype=coef.dtype)
+    np.add.at(out, inv, coef)
+    return p[first], q[first], r[first], s[first], out
 
 
 def _one_body(h_one, d: int) -> np.ndarray:
@@ -336,27 +539,40 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
     (1/2) sum K[o,a,b,c,d] a+_(g,a) a+_(g+o,b) a_(g+o,c) a_(g,d).
 
     Off-diagonal elements come from ``hop``, the interaction from
-    ``pair_terms`` (which also derives and checks G_x and m).  Hermitian to
-    round-off by construction (symmetric inputs are enforced); a max-abs
-    defect of H - H^dagger above 1e-12 is refused.
+    ``pair_terms`` (which also derives and checks G_x and m), folded to
+    p <= q and r <= s.  On a ``MomentumBlock`` the same operator is written
+    over the momentum modes: h_one goes through the DFT over x
+    (``_momentum_one_body`` refuses one that is not circulant) and the
+    interaction comes from ``momentum_pair_terms``.  Hermitian to round-off
+    by construction (symmetric inputs are enforced); a max-abs defect of
+    H - H^dagger above 1e-12 is refused.
 
     The hops, the pair terms and then the diagonal form one COO triple with
     int32 indices (``build_basis`` caps the basis at 10^6 states), each
     ``hop`` result freed as it joins, converted to CSR once; explicit zeros
-    are dropped.  With an on-site kernel the peak while it runs is about 3
-    times the bytes of the CSR it returns (2.5 to 3.0 traced at dims 3876
-    to 170544): the triple beside the CSR, then the CSR beside H^dagger.
+    are dropped.  The peak while it runs is 2.5 to 3.5 times the bytes of
+    the CSR it returns (traced on the lattice modes at dims 3876 to 54264,
+    on-site and finite-range, and on blocks of dims 490 and 6798): the
+    triple beside the CSR, then the CSR beside H^dagger.
     """
     occ = basis.occupations
     dim, d = occ.shape
     h_one = _one_body(h_one, d)
+    if isinstance(basis, MomentumBlock):
+        if G_x not in (None, basis.G_x):
+            raise ManyBodyError(f"layout G_x = {G_x} on a block of "
+                                f"G_x = {basis.G_x}")
+        h_one = _momentum_one_body(h_one, basis.G_x)
+        terms = momentum_pair_terms(offsets, K, d, basis.G_x, m)
+    else:
+        terms = _folded(pair_terms(offsets, K, d, G_x, m), d)
     h_one = 0.5 * (h_one + h_one.T.conj())
 
     # a numpy sum, not a threaded dgemv (see the note above ``_re_dot``)
     diag = (occ * np.real(np.diag(h_one))).sum(axis=1)
     rows, cols, vals = [], [], []
     ii, jj = np.nonzero(np.abs(h_one - np.diag(np.diag(h_one))) > 1e-15)
-    p, q, r, s, coef = pair_terms(offsets, K, d, G_x, m)
+    p, q, r, s, coef = terms
     monomials = [(ii[:, None], jj[:, None], h_one[ii, jj]),
                  (np.stack([p, q], 1), np.stack([r, s], 1), coef)]
     for create, annihilate, coef in monomials:
@@ -456,9 +672,14 @@ def _last_entry(evals: np.ndarray, evecs: np.ndarray, dts) -> np.ndarray:
             * (evecs[0] * evecs[-1])).sum(axis=-1)
 
 
-def _combine(U: list, c: np.ndarray) -> np.ndarray:
-    """sum_l c_l U_l, one vector at a time (see the note above ``_re_dot``)."""
-    return sum(c_l * u_l for c_l, u_l in zip(c, U))
+def _combine(U: list, c: np.ndarray, scale: float) -> np.ndarray:
+    """scale * sum_l c_l U_l, accumulated in place one vector at a time (see
+    the note above ``_re_dot``)."""
+    out = c[0] * U[0]
+    for c_l, u_l in zip(c[1:], U[1:]):
+        out += c_l * u_l
+    out *= scale
+    return out
 
 
 def lanczos_expm_apply(H, v: np.ndarray, times: Sequence[float],
@@ -502,6 +723,7 @@ def lanczos_expm_apply(H, v: np.ndarray, times: Sequence[float],
         beta0 = np.sqrt(_re_dot(u, u))
         alpha, beta = np.zeros(kdim), np.zeros(kdim)
         U = [u / beta0]
+        del u
         for j in range(kdim):
             w = H @ U[j]
             alpha[j] = _re_dot(U[j], w)
@@ -522,14 +744,17 @@ def lanczos_expm_apply(H, v: np.ndarray, times: Sequence[float],
                 ok = err <= 1e-12
                 n_ok = len(ok) if ok.all() else int(np.argmin(ok))
                 for c in _expm_e1(evals, evecs, dts[:n_ok]):
-                    out.append(beta0 * _combine(U, c))
+                    out.append(_combine(U, c, beta0))
                 if n_ok == len(dts):
                     break
             if k < kdim:
-                U.append(w / beta[j])
+                w /= beta[j]
+                U.append(w)
         else:
             # kdim vectors: a new space starts at the farthest time this one
-            # resolves short of the next pending time
+            # resolves short of the next pending time; the last residual and
+            # then this space go before the next is built
+            del w
             lo, hi = (dts[n_ok - 1] if n_ok else 0.0), dts[n_ok]
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
@@ -537,7 +762,8 @@ def lanczos_expm_apply(H, v: np.ndarray, times: Sequence[float],
                 lo, hi = (mid, hi) if err <= 1e-12 else (lo, mid)
             if lo <= 0:
                 raise ManyBodyError(f"{kdim} Krylov vectors resolve no step")
-            u = beta0 * _combine(U, _expm_e1(evals, evecs, [lo])[0])
+            u = _combine(U, _expm_e1(evals, evecs, [lo])[0], beta0)
+            del U
             t0 += lo
     return out
 

@@ -556,3 +556,105 @@ class TestStationaryReference:
         rows, runs = self.run(cfg, cli.build_modes(cfg), monkeypatch,
                               eps=0.02)
         assert runs == [] and len(rows) == 11
+
+
+def _lattice_rows(cfg, N, eps, modes, T):
+    """``cli._manybody_point``'s observables on the lattice modes: the full
+    basis from phi0 itself against the Hartree frames as they are; the
+    oracle of the zero-momentum block."""
+    mb = cli.manybody
+    spb, offsets, K, h, phi0 = cli._lattice(cfg, N, eps, modes)
+    basis = mb.build_basis(spb.d, N)
+    H = mb.build_hamiltonian(basis, h, offsets, K)
+    frames = mb.evolve_state(basis, H, mb.condensate_state(basis, phi0), T=T,
+                             dt=T / 10, store_every=1)
+    stride = -(-mb._steps(T, min(1e-3, T / 1000))[0] // 10)
+    hart = mb.hartree_evolve(h, offsets, K, spb.G_x, spb.m, N, phi0, T=T,
+                             dt=T / (stride * 10))
+    rows = []
+    for (t, psi), (_, phi) in zip(frames, hart[::stride]):
+        obs = cli._measure(basis, H, spb, psi, phi)
+        obs["alpha_n2"] = float(np.dot(
+            cli.condensation.weight_n(N, 2.0).table, obs.pop("pk")))
+        rows.append({"t": t, **obs})
+    return rows
+
+
+class TestMomentumBlock:
+    """``_manybody_point`` runs in the zero-momentum block; the lattice-mode
+    path is its oracle, to 1e-12 at every frame."""
+
+    KEYS = ("t", "alpha_n2", "trace_dist", "excitation", "e_psi")
+
+    def assert_matches_oracle(self, cfg, N, eps, modes, T=1.0):
+        cfg["cross_section"]["m"] = len(modes.energies)
+        got = cli._manybody_point(cfg, N, eps, modes, T=T)
+        want = _lattice_rows(cfg, N, eps, modes, T)
+        assert len(got) == len(want) == 11
+        d = max(abs(g[k] - w[k]) for g, w in zip(got, want) for k in self.KEYS)
+        assert d <= 1e-12
+
+    @staticmethod
+    def config(tmp_path, doc):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        return cli.load_config(p)
+
+    def test_default_config(self):
+        cfg = cli.load_config(None)
+        sc = cfg["scaling"]
+        self.assert_matches_oracle(cfg, sc["N"], sc["eps"],
+                                   cli.build_modes(cfg))
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 6])
+    def test_converge_points(self, N):
+        cfg = cli.load_config(None)
+        cv = cfg["converge"]
+        assert cv["N_list"] == [2, 3, 4, 6]
+        eps = cv["eps0"] * (N / cv["N_list"][0]) ** (-cv["alpha"])
+        self.assert_matches_oracle(cfg, N, eps, cli.build_modes(cfg))
+
+    @pytest.mark.parametrize("modes", [
+        lambda: _holed_square_modes(2),
+        lambda: cli.transverse.dirichlet_modes(
+            cli.transverse.rectangle(np.pi, np.pi, n=31), m=5),
+    ], ids=["holed_square_m2", "square_m5"])
+    def test_non_stationary_references(self, tmp_path, modes):
+        # TestStationaryReference's inputs: the Hartree reference is
+        # integrated, and each of its frames is mapped into the block
+        cfg = self.config(tmp_path, {"cross_section": {"n": 31},
+                                     "solver": {"G_x": 4}})
+        self.assert_matches_oracle(cfg, 2, 0.25, modes())
+
+    def test_small_eps_and_dx(self, tmp_path):
+        cfg = self.config(tmp_path, {"cross_section": {"n": 31},
+                                     "solver": {"G_x": 16, "dx": 0.05}})
+        self.assert_matches_oracle(cfg, 2, 0.02, cli.build_modes(cfg))
+
+    def test_finite_range_kernel(self, tmp_path):
+        # mu = 0.5 at N = 4, eps = 0.5: five offsets at dx = 0.2
+        cfg = self.config(tmp_path, {"solver": {"dx": 0.2}})
+        modes = cli.build_modes(cfg)
+        assert len(cli._lattice(cfg, 4, 0.5, modes)[1]) == 5
+        self.assert_matches_oracle(cfg, 4, 0.5, modes)
+
+    def test_one_transverse_mode(self, tmp_path):
+        cfg = self.config(tmp_path, {"cross_section": {"m": 1}})
+        self.assert_matches_oracle(cfg, 4, 0.25, cli.build_modes(cfg))
+
+    def test_reference_off_zero_momentum_refused(self, tmp_path,
+                                                 monkeypatch):
+        # a phi0 with weight on k = 1 would leave the block
+        cfg = self.config(tmp_path, {"cross_section": {"n": 31},
+                                     "solver": {"G_x": 4}})
+        lattice = cli._lattice
+
+        def tilted(*args):
+            spb, offsets, K, h, phi0 = lattice(*args)
+            g = np.repeat(np.arange(spb.G_x), spb.m)
+            return spb, offsets, K, h, phi0 * (1 + 1e-3 * np.cos(
+                2 * np.pi * g / spb.G_x))
+
+        monkeypatch.setattr(cli, "_lattice", tilted)
+        with pytest.raises(cli.manybody.ManyBodyError, match="k = 0"):
+            cli._manybody_point(cfg, 2, 0.25, cli.build_modes(cfg), T=1.0)

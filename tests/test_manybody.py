@@ -1,7 +1,7 @@
 """Tests for the exact few-boson simulator on the quasi-1D lattice."""
 
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -164,6 +164,17 @@ def _symmetric(occ, N, d):
     return v.ravel() / np.linalg.norm(v)
 
 
+def _assembly_peak(basis, h, offsets, K, **layout):
+    """(H, the traced peak of its assembly over the bytes of its CSR)."""
+    tracemalloc.start()
+    try:
+        H = mb.build_hamiltonian(basis, h, offsets, K, **layout)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return H, peak / (H.data.nbytes + H.indices.nbytes + H.indptr.nbytes)
+
+
 class TestBasis:
     def test_dimension(self):
         basis = mb.build_basis(4, 3)
@@ -206,6 +217,15 @@ class TestBasis:
     def test_no_basis_refused(self, d, N):
         with pytest.raises(mb.ManyBodyError, match="no Fock basis"):
             mb.build_basis(d, N)
+
+    def test_bases_are_shared(self):
+        # one basis per (d, N), and ``minus`` is the shared one, so a chain
+        # and its lowering maps are built once
+        basis = mb.build_basis(16, 4)
+        assert mb.build_basis(16, 4) is basis
+        assert basis.minus is mb.build_basis(16, 3)
+        assert mb.build_basis(16, 5).minus is basis
+        assert basis.lowering is mb.build_basis(16, 5).minus.lowering
 
     def test_vacuum_lowering_refused(self):
         with pytest.raises(mb.ManyBodyError, match="no Fock basis"):
@@ -499,23 +519,39 @@ class TestHamiltonian:
     def test_assembly_peak_memory(self):
         # the converge N = 6 point of the default config (dim 54264):
         # assembly holds at most 4 times the bytes of the CSR it returns
-        # (2.9 measured; 7.2 when the diagonal was added to the CSR and
-        # H - H^dagger was a sparse difference)
+        # (2.6 measured; 2.9 before the pair terms were folded, 7.2 when
+        # the diagonal was added to the CSR and H - H^dagger was a sparse
+        # difference)
         cfg = cli.load_config(None)
         cv = cfg["converge"]
         eps = cv["eps0"] * (6 / cv["N_list"][0]) ** (-cv["alpha"])
         spb, offsets, K, h, _ = cli._lattice(cfg, 6, eps, cli.build_modes(cfg))
         basis = mb.build_basis(spb.d, 6)
-        tracemalloc.start()
-        try:
-            H = mb.build_hamiltonian(basis, h, offsets, K, G_x=spb.G_x,
-                                     m=spb.m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        csr = H.data.nbytes + H.indices.nbytes + H.indptr.nbytes
+        H, ratio = _assembly_peak(basis, h, offsets, K, G_x=spb.G_x, m=spb.m)
         assert basis.dim == 54264 and H.nnz == 612408
-        assert peak <= 4 * csr
+        assert ratio <= 4
+
+    def test_finite_range_assembly_peak_memory(self):
+        # the default config at dx = 0.2, N = 4, eps = 0.5: five offsets,
+        # 320 pair monomials.  A mask per monomial traced 5.98 times the
+        # CSR; one per annihilated pair and folded pair terms, 2.9
+        cfg = cli.load_config(None)
+        cfg["solver"]["dx"] = 0.2
+        spb, offsets, K, h, _ = cli._lattice(cfg, 4, 0.5, cli.build_modes(cfg))
+        assert len(offsets) == 5
+        assert len(mb.pair_terms(offsets, K, spb.d, None, None)[0]) == 320
+        H, ratio = _assembly_peak(mb.build_basis(spb.d, 4), h, offsets, K)
+        assert H.shape == (3876, 3876) and ratio <= 4
+
+    def test_block_assembly_peak_memory(self):
+        # converge's N = 6 point in the zero-momentum block (2.5 measured)
+        cfg = cli.load_config(None)
+        cv = cfg["converge"]
+        eps = cv["eps0"] * (6 / cv["N_list"][0]) ** (-cv["alpha"])
+        spb, offsets, K, h, _ = cli._lattice(cfg, 6, eps, cli.build_modes(cfg))
+        block = mb.momentum_block(spb.G_x, spb.m, 6)
+        H, ratio = _assembly_peak(block, h, offsets, K)
+        assert block.dim == 6798 and ratio <= 4
 
     def test_condensate_energy_identity(self, small_system):
         # <phi^N, H phi^N>/N equals the mean-field energy functional
@@ -923,3 +959,88 @@ class TestStationaryReference:
         assert np.linalg.norm(phi - ref, axis=1).max() <= 1e-12
         assert np.linalg.norm(frames[-1][1]
                               - np.exp(-1j * lam * T) * phi0) <= 1e-12
+
+
+def _momentum_fock_map(basis, block, G_x):
+    """J with the block's states as columns, written on the full basis of
+    the lattice modes: each occupation's symmetric tensor over the momentum
+    modes, taken to the lattice modes by b+_(k,j) =
+    sum_g conj(W[(k,j), (g,j)]) a+_(g,j), W the unitary DFT over x."""
+    N, d = block.N, block.d
+    k = np.arange(G_x)
+    F = np.exp(-2j * np.pi * np.outer(k, k) / G_x) / np.sqrt(G_x)
+    W = np.kron(F, np.eye(d // G_x)).conj()
+    cols = []
+    for occ in block.occupations:
+        t = _symmetric(occ, N, d).reshape((d,) * N).astype(complex)
+        for axis in range(N):
+            t = np.moveaxis(np.tensordot(W, t, axes=([0], [axis])), 0, axis)
+        cols.append(cd.dense_to_fock(t.ravel(), basis))
+    return np.column_stack(cols)
+
+
+class TestMomentumBlock:
+    @pytest.mark.parametrize("N, dim", [(2, 18), (3, 102), (4, 490),
+                                        (6, 6798)])
+    def test_dimensions_by_brute_force(self, N, dim):
+        # converge's points on 8 sites x 2 modes: the multisets of N modes
+        # whose momenta k = mode // 2 sum to 0 mod 8
+        count = sum(sum(i // 2 for i in modes) % 8 == 0 for modes in
+                    combinations_with_replacement(range(16), N))
+        block = mb.momentum_block(8, 2, N)
+        assert count == block.dim == dim
+        full = mb.build_basis(16, N)
+        assert np.array_equal(full.occupations[block.ranks],
+                              block.occupations)
+        assert np.all(np.diff(block.ranks) > 0)
+
+    def test_default_block_nnz(self):
+        cfg = cli.load_config(None)
+        N, eps = cfg["scaling"]["N"], cfg["scaling"]["eps"]
+        spb, offsets, K, h, _ = cli._lattice(cfg, N, eps, cli.build_modes(cfg))
+        H = mb.build_hamiltonian(mb.momentum_block(spb.G_x, spb.m, N), h,
+                                 offsets, K)
+        assert H.shape == (490, 490) and H.nnz == 18170
+
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_matches_rotated_lattice_hamiltonian(self, N):
+        # the random kernel on 3 sites at offsets -2..2 (wrapping): H on the
+        # block equals J^dagger H J of the lattice-mode H, and J's columns
+        # are orthonormal
+        s = _wrapped_system()
+        basis = mb.build_basis(len(s["h"]), N)
+        block = mb.momentum_block(3, 2, N)
+        J = _momentum_fock_map(basis, block, 3)
+        H = mb.build_hamiltonian(basis, s["h"], s["offsets"], s["K"])
+        H_k = mb.build_hamiltonian(block, s["h"], s["offsets"], s["K"])
+        assert np.abs(J.conj().T @ J - np.eye(block.dim)).max() < 1e-13
+        assert np.abs(J.conj().T @ (H @ J) - H_k.toarray()).max() < 1e-12
+
+    def test_momentum_violating_monomial_refused(self):
+        # mode 2 is (k = 1, j = 0) and mode 0 is (k = 0, j = 0): the hop
+        # changes the momentum by 1
+        block = mb.momentum_block(4, 2, 2)
+        with pytest.raises(mb.ManyBodyError, match="zero-momentum block"):
+            mb.hop(block, block, [[2]], [[0]])
+        # a momentum-conserving one lands inside: (1, 0) + (3, 0) -> (0, 0)
+        # twice
+        term, rows, cols, amps = mb.hop(block, block, [[0, 0]], [[2, 6]])
+        assert len(rows) > 0
+
+    def test_non_circulant_one_body_refused(self):
+        spb = mb.SingleParticleBasis(G_x=4, dx=0.5, eps=0.5,
+                                     transverse_energies=np.array([2.0, 5.0]))
+        h = mb.one_body_matrix(spb)
+        h[0, 0] += 0.1          # a potential on site 0
+        block = mb.momentum_block(4, 2, 2)
+        with pytest.raises(mb.ManyBodyError, match="not circulant"):
+            mb.build_hamiltonian(block, h, np.array([0]),
+                                 np.ones((1, 2, 2, 2, 2)))
+
+    def test_off_zero_momentum_state_refused(self):
+        v = np.zeros(8, dtype=complex)
+        v[::2] = 1.0
+        assert np.allclose(mb.momentum_modes(v, 4)[::2], [2.0, 0, 0, 0])
+        v[::2] = np.exp(2j * np.pi * np.arange(4) / 4)
+        with pytest.raises(mb.ManyBodyError, match="k = 0"):
+            mb.momentum_modes(v, 4)
