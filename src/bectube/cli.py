@@ -157,6 +157,10 @@ def _validate(cfg: dict) -> dict:
                          ("cross_section", "radius")):
         if not 0.0 < cfg[section][key] < np.inf:
             raise ConfigError(f"{section}.{key} must be a positive number")
+    # a helix of radius 0 is a line; a negative radius would run the guide
+    # of radius |radius|, turned by pi
+    if not 0.0 <= cfg["geometry"]["radius"] < np.inf:
+        raise ConfigError("geometry.radius must be a non-negative number")
     if not 0.0 < cfg["converge"]["eps0"] <= 1.0:
         raise ConfigError("converge.eps0 must lie in (0, 1]")
     if sv["G"] < 1 or sv["G"] & (sv["G"] - 1):
@@ -177,6 +181,15 @@ def _validate(cfg: dict) -> dict:
             and all(a < b for a, b in zip(Ns, Ns[1:]))):
         raise ConfigError("converge.N_list must hold at least two strictly "
                           "increasing integers, each at least 2")
+    cv = cfg["converge"]
+    for N in Ns:
+        try:
+            eps = cv["eps0"] * (N / Ns[0]) ** (-cv["alpha"])
+        except OverflowError:
+            eps = np.inf
+        if not 0.0 < eps <= 1.0:
+            raise ConfigError(f"converge.alpha gives eps = {eps:.3g} at "
+                              f"N = {N}, outside (0, 1]")
     return cfg
 
 

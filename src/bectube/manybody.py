@@ -375,43 +375,67 @@ def one_body_matrix(spb: SingleParticleBasis) -> np.ndarray:
     return h
 
 
-def _half_kernel(K: np.ndarray, d: int, G_x: int | None, m: int | None):
-    """(half, G_x, m): 0.5 K with the entries ``pair_terms`` drops set to
-    0, and the layout it derives and checks."""
+def _pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int | None,
+                m: int | None, momentum: bool):
+    """The pair interaction
+    (1/2) sum K[o,a,b,c,dd] a+_(g,a) a+_(g+o,b) a_(g+o,c) a_(g,dd), sites
+    modulo G_x, as folded terms (p, q, r, s, coef) of a+_p a+_q a_r a_s,
+    p <= q and r <= s, over the lattice modes (g, j) = g * m + j or, with
+    momentum, the momentum modes (k, j) = k * m + j (below).
+
+    m = K.shape[1] and G_x = d / m; a G_x or m other than None that
+    disagrees is refused.  Entries of 0.5 K at most 1e-12 times its largest
+    are set to 0 (the round-off of entries that symmetry forbids is below
+    2e-14 relative), and the rest is wrapped onto the ring: W[delta] sums
+    them over the offsets o = delta mod G_x.  One ordering of a term has
+    the coefficient W[g_q - g_p][a, b, c, dd] on the lattice modes if
+    g_s = g_p and g_r = g_q, else 0, and V[k_q - k_r][a, b, c, dd] on the
+    momentum modes, V[k] = sum_delta W[delta] exp(-2 pi i k delta / G_x)
+    / G_x.  The interaction keeps a pair's unordered sites, or its total
+    momentum mod G_x, so each annihilated pair r <= s meets every created
+    pair p <= q of that key.  Creators commute, and so do annihilators: a
+    term sums the orderings of its two pairs, and ``hop`` finds each matrix
+    element once per term.  Terms with |coef| <= 1e-12 max |W| are dropped,
+    so an all-zero kernel keeps none."""
     half = 0.5 * np.asarray(K)
     m_K = half.shape[1] if half.ndim == 5 else 0
     if not m_K or d % m_K or m not in (None, m_K) \
             or G_x not in (None, d // m_K):
         raise ManyBodyError(f"layout G_x = {G_x}, m = {m} does not fit "
                             f"d = {d} and a kernel of shape {half.shape}")
-    size = np.abs(half)
-    return (np.where(size > 1e-12 * size.max(initial=0.0), half, 0.0),
-            d // m_K, m_K)
+    G_x, m = d // m_K, m_K
+    W = np.zeros((G_x,) + half.shape[1:], dtype=half.dtype)
+    np.add.at(W, np.asarray(offsets) % G_x, np.where(
+        np.abs(half) > 1e-12 * np.abs(half).max(initial=0.0), half, 0.0))
+    cut, table = 1e-12 * np.abs(W).max(initial=0.0), W
+    if momentum:
+        k = np.arange(G_x)
+        phase = np.exp(-2j * np.pi * (np.outer(k, k) % G_x) / G_x)
+        table = ((phase[:, :, None] * W.reshape(G_x, -1)).sum(1)
+                 .reshape(W.shape) / G_x)
 
+    def v(p, q, r, s):
+        c = table[(q // m - (r if momentum else p) // m) % G_x, p % m, q % m,
+                  r % m, s % m]
+        return c if momentum else np.where(
+            (s // m == p // m) & (r // m == q // m), c, 0.0)
 
-def pair_terms(offsets: np.ndarray, K: np.ndarray, d: int, G_x: int | None,
-               m: int | None):
-    """The pair interaction (1/2) sum K[o,a,b,c,d] a+_p a+_q a_r a_s with
-    p = (g,a), q = (g+o,b), r = (g+o,c), s = (g,d), as arrays
-    (p, q, r, s, coef) over the d = G_x * m lattice modes (g, j) = g * m + j,
-    sites taken modulo G_x.
-
-    m = K.shape[1] and G_x = d / m; a G_x or m other than None that disagrees
-    is refused.  coef holds 0.5 K; entries with |0.5 K| at most 1e-12 times
-    max |0.5 K| are dropped, a cut far above the round-off (below 2e-14
-    relative) of entries that symmetry forbids, so an all-zero kernel keeps
-    no term.  Terms that share (p, q, r, s) are summed into one.
-    """
-    half, G_x, m = _half_kernel(K, d, G_x, m)
-    o, a, b, c, dd = np.nonzero(half)
-    g = np.arange(G_x)[:, None]
-    g2 = (g + np.asarray(offsets)[o]) % G_x
-    keys = np.stack(np.broadcast_arrays(g * m + a, g2 * m + b, g2 * m + c,
-                                        g * m + dd)).reshape(4, -1)
-    keys, inv = np.unique(keys, axis=1, return_inverse=True)
-    coef = np.zeros(keys.shape[1], dtype=half.dtype)
-    np.add.at(coef, inv.ravel(), np.tile(half[o, a, b, c, dd], G_x))
-    return (*keys, coef)
+    # the pairs i <= j (so g_i <= g_j) by key; pair y meets the n[key[y]]
+    # pairs of its key, which start at (cumsum(n) - n)[key[y]]
+    i, j = np.triu_indices(d)
+    key = (i // m + j // m) % G_x if momentum else (i // m) * G_x + j // m
+    order = np.argsort(key, kind="stable")
+    i, j, key = i[order], j[order], key[order]
+    n = np.bincount(key)
+    meets = n[key]
+    y = np.repeat(np.arange(len(i)), meets)
+    x = (np.repeat((np.cumsum(n) - n)[key] - np.cumsum(meets) + meets, meets)
+         + np.arange(meets.sum()))
+    p, q, r, s = i[x], j[x], i[y], j[y]
+    coef = (v(p, q, r, s) + (p != q) * v(q, p, r, s)
+            + (r != s) * (v(p, q, s, r) + (p != q) * v(q, p, s, r)))
+    keep = np.abs(coef) > cut
+    return p[keep], q[keep], r[keep], s[keep], coef[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -468,63 +492,6 @@ def _momentum_one_body(h_one: np.ndarray, G_x: int) -> np.ndarray:
     return np.where(same_k, hk, 0.0).reshape(d, d)
 
 
-def momentum_pair_terms(offsets: np.ndarray, K: np.ndarray, d: int,
-                        G_x: int | None, m: int | None):
-    """``pair_terms``'s interaction over the momentum modes, as arrays
-    (p, q, r, s, coef) of b+_p b+_q b_r b_s with p <= q and r <= s.
-
-    With V(k) = sum_o K[o] exp(-2 pi i k o / G_x) over the kernel
-    ``pair_terms`` keeps, the interaction is
-    1/(2 G_x) sum V(k_q - k_r)[a, b, c, dd] b+_p b+_q b_r b_s over
-    p = (k_p, a), q = (k_q, b), r = (k_r, c), s = (k_s, dd) with
-    k_p + k_q = k_r + k_s mod G_x.  Creators commute, and so do
-    annihilators, so every ordering of one pair of modes is summed into
-    one term: each annihilated pair r <= s meets every created pair p <= q
-    of its total momentum, pairs grouped by the annihilated one.  A term
-    whose |coef| is at most 1e-12 max |V| / (2 G_x), a sum of symmetry-
-    forbidden round-off, is dropped."""
-    half, G_x, m = _half_kernel(K, d, G_x, m)
-    k = np.arange(G_x)
-    phase = np.exp(-2j * np.pi * (np.multiply.outer(k, offsets) % G_x) / G_x)
-    V = ((phase[:, :, None] * half.reshape(len(offsets), -1)).sum(1)
-         .reshape((G_x,) + half.shape[1:]) / G_x)
-    # the pairs i <= j by total momentum; pair y meets the n[tot[y]] pairs
-    # of its total, which start at (cumsum(n) - n)[tot[y]]
-    i, j = np.triu_indices(d)
-    tot = (i // m + j // m) % G_x
-    order = np.argsort(tot, kind="stable")
-    i, j, tot = i[order], j[order], tot[order]
-    n = np.bincount(tot, minlength=G_x)
-    meets = n[tot]
-    y = np.repeat(np.arange(len(i)), meets)
-    x = (np.repeat((np.cumsum(n) - n)[tot] - np.cumsum(meets) + meets, meets)
-         + np.arange(meets.sum()))
-    p, q, r, s = i[x], j[x], i[y], j[y]
-
-    def v(p, q, r, s):
-        return V[(q // m - r // m) % G_x, p % m, q % m, r % m, s % m]
-
-    coef = (v(p, q, r, s) + (p != q) * v(q, p, r, s)
-            + (r != s) * (v(p, q, s, r) + (p != q) * v(q, p, s, r)))
-    keep = np.abs(coef) > 1e-12 * np.abs(V).max(initial=0.0)
-    return p[keep], q[keep], r[keep], s[keep], coef[keep]
-
-
-def _folded(terms, d: int):
-    """``pair_terms``'s terms over d modes with p <= q and r <= s: creators
-    commute, and so do annihilators, so the orderings of one pair of modes
-    are summed into one term, and ``hop`` finds each matrix element once
-    per term."""
-    p, q, r, s, coef = terms
-    p, q = np.minimum(p, q), np.maximum(p, q)
-    r, s = np.minimum(r, s), np.maximum(r, s)
-    keys, first, inv = np.unique(((p * d + q) * d + r) * d + s,
-                                 return_index=True, return_inverse=True)
-    out = np.zeros(len(keys), dtype=coef.dtype)
-    np.add.at(out, inv, coef)
-    return p[first], q[first], r[first], s[first], out
-
-
 def _one_body(h_one, d: int) -> np.ndarray:
     if np.shape(h_one) != (d, d):
         raise ManyBodyError(f"one-body matrix of shape {np.shape(h_one)} "
@@ -538,14 +505,14 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
     """Second-quantized Hamiltonian: sum h_ij a+_i a_j plus
     (1/2) sum K[o,a,b,c,d] a+_(g,a) a+_(g+o,b) a_(g+o,c) a_(g,d).
 
-    Off-diagonal elements come from ``hop``, the interaction from
-    ``pair_terms`` (which also derives and checks G_x and m), folded to
-    p <= q and r <= s.  On a ``MomentumBlock`` the same operator is written
-    over the momentum modes: h_one goes through the DFT over x
-    (``_momentum_one_body`` refuses one that is not circulant) and the
-    interaction comes from ``momentum_pair_terms``.  Hermitian to round-off
-    by construction (symmetric inputs are enforced); a max-abs defect of
-    H - H^dagger above 1e-12 is refused.
+    Off-diagonal elements come from ``hop``, the interaction from the
+    folded terms of ``_pair_terms``, which also derives and checks G_x and
+    m.  On a ``MomentumBlock`` the same operator is written over the
+    momentum modes: h_one goes through the DFT over x
+    (``_momentum_one_body`` refuses one that is not circulant) and
+    ``_pair_terms`` builds the terms on those modes.  Hermitian to
+    round-off by construction (symmetric inputs are enforced); a max-abs
+    defect of H - H^dagger above 1e-12 is refused.
 
     The hops, the pair terms and then the diagonal form one COO triple with
     int32 indices (``build_basis`` caps the basis at 10^6 states), each
@@ -558,21 +525,19 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
     occ = basis.occupations
     dim, d = occ.shape
     h_one = _one_body(h_one, d)
-    if isinstance(basis, MomentumBlock):
+    block = isinstance(basis, MomentumBlock)
+    if block:
         if G_x not in (None, basis.G_x):
             raise ManyBodyError(f"layout G_x = {G_x} on a block of "
                                 f"G_x = {basis.G_x}")
-        h_one = _momentum_one_body(h_one, basis.G_x)
-        terms = momentum_pair_terms(offsets, K, d, basis.G_x, m)
-    else:
-        terms = _folded(pair_terms(offsets, K, d, G_x, m), d)
+        G_x, h_one = basis.G_x, _momentum_one_body(h_one, basis.G_x)
+    p, q, r, s, coef = _pair_terms(offsets, K, d, G_x, m, block)
     h_one = 0.5 * (h_one + h_one.T.conj())
 
     # a numpy sum, not a threaded dgemv (see the note above ``_re_dot``)
     diag = (occ * np.real(np.diag(h_one))).sum(axis=1)
     rows, cols, vals = [], [], []
     ii, jj = np.nonzero(np.abs(h_one - np.diag(np.diag(h_one))) > 1e-15)
-    p, q, r, s, coef = terms
     monomials = [(ii[:, None], jj[:, None], h_one[ii, jj]),
                  (np.stack([p, q], 1), np.stack([r, s], 1), coef)]
     for create, annihilate, coef in monomials:
@@ -875,11 +840,15 @@ def energy_per_particle(basis: FockBasis, psi: np.ndarray, H) -> float:
 
 def _mean_field(h_one, offsets, K, G_x: int, m: int, N: int,
                 d: int) -> Callable:
-    """v -> H_mf(v) v = h v + 2 (N-1) sum_t coef_t conj(v_q) v_r v_s e_p
-    over the ``pair_terms``: the Hartree right-hand side times i."""
+    """v -> H_mf(v) v, the Hartree right-hand side times i: the gradient in
+    conj(v) of the condensate's energy per particle, <v, h v> +
+    (N-1) sum_t coef_t conj(v_p v_q) v_r v_s over the lattice-mode
+    ``_pair_terms``.  A term adds (N-1) coef_t v_r v_s times conj(v_q) at p
+    and conj(v_p) at q, with or without pair-exchange symmetry of K."""
     h_one = _one_body(h_one, d)
-    p, q, r, s, coef = pair_terms(offsets, K, d, G_x, m)
-    coef = 2 * (N - 1) * coef
+    p, q, r, s, coef = _pair_terms(offsets, K, d, G_x, m, False)
+    p, q = np.concatenate([p, q]), np.concatenate([q, p])
+    r, s, coef = np.tile(r, 2), np.tile(s, 2), np.tile((N - 1) * coef, 2)
 
     def apply(v):
         hv = h_one @ v
@@ -899,14 +868,15 @@ def stationary_bound(h_one) -> float:
 def hartree_evolve(h_one, offsets, K, G_x: int, m: int, N: int,
                    phi0: np.ndarray, T: float, dt: float):
     """Mean-field (Hartree) evolution of a one-body vector under the same
-    lattice and kernel as the many-body model.
+    lattice and pair terms as the many-body model: i dphi/dt =
+    H_mf(phi) phi from the normalized phi0, with H_mf(phi) phi the gradient
+    in conj(phi) of the condensate's energy per particle (``_mean_field``).
 
-    i dphi/dt = H_mf(phi) phi (see ``_mean_field``) from the normalized
-    phi0.  Returns a list of (t, phi) frames at every step, t accumulated by
-    repeated addition of the step.  A phi0 whose residual under its own mean
-    field (``mean_field_stationary``) is at most ``stationary_bound`` is a
-    stationary solution: its frames are exp(-i lambda t) phi0, exact, and
-    no step is integrated.  Any other phi0 is integrated by RK4.
+    Returns a list of (t, phi) frames at every step, t accumulated by
+    repeated addition of the step.  A phi0 whose residual under its own
+    mean field (``mean_field_stationary``) is at most ``stationary_bound``
+    is a stationary solution: its frames are exp(-i lambda t) phi0, exact,
+    and no step is integrated.  Any other phi0 is integrated by RK4.
     """
     h_mf = _mean_field(h_one, offsets, K, G_x, m, N, len(phi0))
     phi = np.asarray(phi0, dtype=complex)

@@ -80,7 +80,9 @@ def rectangle(a: float, b: float, n: int, vperp=None) -> CrossSection:
     potential, zero for None."""
     y1, y2 = _grid((0.0, a), (0.0, b), n)
     mask = np.ones((len(y1), len(y2)), dtype=bool)
-    return CrossSection("rectangle", y1, y2, mask, _sample_vperp(vperp, y1, y2))
+    V = (np.zeros(mask.shape) if vperp is None else np.asarray(
+        vperp(*np.meshgrid(y1, y2, indexing="ij")), dtype=float))
+    return CrossSection("rectangle", y1, y2, mask, V)
 
 
 def disk(radius: float, n: int) -> CrossSection:
@@ -102,17 +104,12 @@ def ellipse(a: float, b: float, n: int) -> CrossSection:
                         levelset=lambda p1, p2: (p1 / a) ** 2 + (p2 / b) ** 2 - 1.0)
 
 
-def masked(y1, y2, mask, vperp=None) -> CrossSection:
+def masked(y1, y2, mask) -> CrossSection:
+    """The nodes of the grid y1 x y2 where mask holds, with no transverse
+    potential."""
     mask = np.asarray(mask, dtype=bool)
     return CrossSection("mask", np.asarray(y1, float), np.asarray(y2, float),
-                        mask, _sample_vperp(vperp, y1, y2))
-
-
-def _sample_vperp(vperp, y1, y2):
-    if vperp is None:
-        return np.zeros((len(y1), len(y2)))
-    Y1, Y2 = np.meshgrid(y1, y2, indexing="ij")
-    return np.asarray(vperp(Y1, Y2), dtype=float)
+                        mask, np.zeros(mask.shape))
 
 
 @dataclass

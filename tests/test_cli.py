@@ -88,14 +88,17 @@ class TestConfig:
         {"solver": {"G": 100}}, {"cross_section": {"n": 0}},
         {"solver": {"dt": 0.0}}, {"solver": {"dt": -1e-3}},
         {"solver": {"store_every": 0}}, {"solver": {"sigma": 0.0}},
-        {"solver": {"sigma": -1.0}},
+        {"solver": {"sigma": -1.0}}, {"geometry": {"radius": -1.0}},
+        {"converge": {"alpha": -2.0}}, {"converge": {"alpha": -1e6}},
     ], ids=["dx_negative", "dx_zero", "G_x_zero", "G_x_two", "G_x_float",
             "T_zero", "T_negative", "m_zero", "m_float", "N_float",
             "N_string", "N_bool", "N_zero", "dt_string", "n_string",
             "initial_unknown", "radius_negative", "a_zero", "b_infinite",
             "n_nodes_one", "eps0_above_one", "X_negative",
             "G_not_power_of_two", "n_zero", "dt_zero", "dt_negative",
-            "store_every_zero", "sigma_zero", "sigma_negative"])
+            "store_every_zero", "sigma_zero", "sigma_negative",
+            "guide_radius_negative", "alpha_eps_above_one",
+            "alpha_eps_overflow"])
     def test_out_of_range_is_config_error(self, outdir, tmp_path, patch):
         # a negative dx silently dropped the interaction, G_x = 0 ended in
         # a traceback, and G_x < 3 merged a site's two bonds into one entry;
@@ -105,7 +108,8 @@ class TestConfig:
         # interaction support, one guide node ended in a traceback, and
         # eps0 = 2, X = -8, G = 100, n = 0, dt <= 0, store_every = 0 and a
         # Gaussian's sigma = 0 exited as numerical failures, and sigma = -1
-        # ran |sigma|
+        # ran |sigma|; a guide of radius -1 ran, and an alpha that takes
+        # converge's eps above 1 exited as a numerical failure
         ((section, table),) = patch.items()
         ((key, _),) = table.items()
         p = tmp_path / "c.json"

@@ -62,13 +62,15 @@ def _pair_matrix(offsets, K, G_x):
     return W
 
 
-def _wrapped_system():
+def _wrapped_system(exchange=True):
     """3 sites x 2 modes with a random kernel at offsets -2..2, so offsets
     +-2 and -+1 reach the same sites; the kernel has the pair-exchange and
-    Hermitian symmetries and no others."""
+    Hermitian symmetries and no others, or, without exchange, the Hermitian
+    symmetry only."""
     rng = np.random.default_rng(5)
     K = rng.standard_normal((5, 2, 2, 2, 2))
-    K = K + K[::-1].transpose(0, 2, 1, 4, 3)
+    if exchange:
+        K = K + K[::-1].transpose(0, 2, 1, 4, 3)
     K = K + K.transpose(0, 4, 3, 2, 1)
     spb = mb.SingleParticleBasis(G_x=3, dx=0.5, eps=0.5,
                                  transverse_energies=np.array([2.0, 5.0]))
@@ -258,9 +260,9 @@ class TestHop:
             ii, jj = np.nonzero(h - np.diag(np.diag(h)))
             return ii[:, None], jj[:, None]
         if kind == "on_site_pairs":
-            p, q, r, s, _ = mb.pair_terms(np.array([0]),
-                                          np.ones((1, 2, 2, 2, 2)), d, None,
-                                          None)
+            p, q, r, s, _ = mb._pair_terms(np.array([0]),
+                                           np.ones((1, 2, 2, 2, 2)), d, None,
+                                           None, False)
             return np.stack([p, q], 1), np.stack([r, s], 1)
         modes = np.random.default_rng(d).integers(0, d, (40, 4))
         return modes[:, :2], modes[:, 2:]
@@ -467,13 +469,15 @@ class TestHamiltonian:
     def test_sparsity_independent_of_round_off(self, section):
         # the default lattice at N = 4 on curved cross-sections: the entries
         # that symmetry forbids are round-off of 1e-16 to 1e-15, and an
-        # absolute 1e-16 cut kept 64, 96 or 128 pair terms by the shape's
-        # size; the relative cut keeps the 64 allowed ones everywhere
+        # absolute 1e-16 cut kept 64, 96 or 128 unfolded pair terms by the
+        # shape's size; the relative cut keeps the 64 allowed ones
+        # everywhere, 40 once folded to p <= q and r <= s
         cfg = cli.load_config(None)
         cfg["cross_section"].update(section)
         spb, offsets, K, h, _ = cli._lattice(cfg, 4, cfg["scaling"]["eps"],
                                              cli.build_modes(cfg))
-        assert len(mb.pair_terms(offsets, K, spb.d, None, None)[0]) == 64
+        assert len(mb._pair_terms(offsets, K, spb.d, None, None,
+                                  False)[0]) == 40
         H = mb.build_hamiltonian(mb.build_basis(spb.d, 4), h, offsets, K)
         assert H.nnz == 32164
 
@@ -533,13 +537,15 @@ class TestHamiltonian:
 
     def test_finite_range_assembly_peak_memory(self):
         # the default config at dx = 0.2, N = 4, eps = 0.5: five offsets,
-        # 320 pair monomials.  A mask per monomial traced 5.98 times the
-        # CSR; one per annihilated pair and folded pair terms, 2.9
+        # 320 unfolded pair monomials, 168 folded ones.  A mask per monomial
+        # traced 5.98 times the CSR; one per annihilated pair and folded
+        # pair terms, 2.9
         cfg = cli.load_config(None)
         cfg["solver"]["dx"] = 0.2
         spb, offsets, K, h, _ = cli._lattice(cfg, 4, 0.5, cli.build_modes(cfg))
         assert len(offsets) == 5
-        assert len(mb.pair_terms(offsets, K, spb.d, None, None)[0]) == 320
+        assert len(mb._pair_terms(offsets, K, spb.d, None, None,
+                                  False)[0]) == 168
         H, ratio = _assembly_peak(mb.build_basis(spb.d, 4), h, offsets, K)
         assert H.shape == (3876, 3876) and ratio <= 4
 
@@ -608,7 +614,8 @@ class TestHamiltonian:
         h = mb.one_body_matrix(spb)
         basis = mb.build_basis(spb.d, 2)
         K = np.zeros((1,) + (spb.m,) * 4)
-        assert len(mb.pair_terms(np.array([0]), K, spb.d, None, None)[0]) == 0
+        assert len(mb._pair_terms(np.array([0]), K, spb.d, None, None,
+                                  False)[0]) == 0
         H = mb.build_hamiltonian(basis, h, np.array([0]), K)
         e0_many = np.min(np.linalg.eigvalsh(H.toarray()))
         e0_one = np.min(np.linalg.eigvalsh(h))
@@ -888,30 +895,37 @@ class TestHartree:
     def test_pair_matrix_oracle(self):
         # the condensate's energy and the Hartree right-hand side against
         # the pair operator built from the docstring, at a random state that
-        # is not stationary
-        s, N = _wrapped_system(), 4
-        W = _pair_matrix(s["offsets"], s["K"], 3)
+        # is not stationary.  The first-quantized H sums W over the ordered
+        # particle pairs i != j, so the right-hand side reads W symmetrized
+        # over the two particles.  The kernel without pair-exchange symmetry
+        # tells that from W itself: twice the terms' gradient at p alone
+        # is off by 3.4 in norm there
         rng = np.random.default_rng(6)
         phi = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         phi = phi / np.linalg.norm(phi)
-        e = np.vdot(phi, s["h"] @ phi).real + 0.5 * (N - 1) * np.einsum(
-            "pqsr,p,q,r,s->", W, phi.conj(), phi.conj(), phi, phi).real
-        basis = mb.build_basis(6, N)
-        H = mb.build_hamiltonian(basis, s["h"], s["offsets"], s["K"])
-        assert abs(mb.energy_per_particle(
-            basis, mb.condensate_state(basis, phi), H) - e) < 1e-12
-        rhs = -1j * (s["h"] @ phi + (N - 1) * np.einsum(
-            "pqsr,q,r,s->p", W, phi.conj(), phi, phi))
-        dt = 1e-6
-        frames = mb.hartree_evolve(s["h"], s["offsets"], s["K"], 3, 2, N,
-                                   phi, T=dt, dt=dt)
-        step = (frames[-1][1] - phi) / dt
-        assert np.linalg.norm(step - rhs) < 1e-4 * np.linalg.norm(rhs)
-        # the stationarity residual reads the same right-hand side
-        lam, residual = mb.mean_field_stationary(s["h"], s["offsets"], s["K"],
-                                                 3, 2, N, phi)
-        assert abs(lam - np.vdot(phi, 1j * rhs).real) < 1e-12
-        assert abs(residual - np.linalg.norm(1j * rhs - lam * phi)) < 1e-12
+        N, basis = 4, mb.build_basis(6, 4)
+        for exchange in (True, False):
+            s = _wrapped_system(exchange)
+            W = _pair_matrix(s["offsets"], s["K"], 3)
+            W_sym = 0.5 * (W + W.transpose(1, 0, 3, 2))
+            assert np.array_equal(W_sym, W) == exchange
+            e = np.vdot(phi, s["h"] @ phi).real + 0.5 * (N - 1) * np.einsum(
+                "pqsr,p,q,r,s->", W, phi.conj(), phi.conj(), phi, phi).real
+            H = mb.build_hamiltonian(basis, s["h"], s["offsets"], s["K"])
+            assert abs(mb.energy_per_particle(
+                basis, mb.condensate_state(basis, phi), H) - e) < 1e-12
+            rhs = -1j * (s["h"] @ phi + (N - 1) * np.einsum(
+                "pqsr,q,r,s->p", W_sym, phi.conj(), phi, phi))
+            dt = 1e-6
+            frames = mb.hartree_evolve(s["h"], s["offsets"], s["K"], 3, 2, N,
+                                       phi, T=dt, dt=dt)
+            step = (frames[-1][1] - phi) / dt
+            assert np.linalg.norm(step - rhs) < 1e-4 * np.linalg.norm(rhs)
+            # the stationarity residual reads the same right-hand side
+            lam, residual = mb.mean_field_stationary(
+                s["h"], s["offsets"], s["K"], 3, 2, N, phi)
+            assert abs(lam - np.vdot(phi, 1j * rhs).real) < 1e-12
+            assert abs(residual - np.linalg.norm(1j * rhs - lam * phi)) < 1e-12
 
     def test_matches_manybody_for_large_N_weak_coupling(self, small_system):
         # with the interaction switched off Hartree and one-body dynamics agree
@@ -1001,6 +1015,10 @@ class TestMomentumBlock:
         H = mb.build_hamiltonian(mb.momentum_block(spb.G_x, spb.m, N), h,
                                  offsets, K)
         assert H.shape == (490, 490) and H.nnz == 18170
+        # the folded terms over the momentum modes: of the 2320 pairs of
+        # pairs that share a total momentum, those the kernel couples
+        assert len(mb._pair_terms(offsets, K, spb.d, None, None,
+                                  True)[0]) == 1168
 
     @pytest.mark.parametrize("N", [2, 3])
     def test_matches_rotated_lattice_hamiltonian(self, N):
