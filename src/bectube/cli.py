@@ -157,10 +157,12 @@ def _validate(cfg: dict) -> dict:
                          ("cross_section", "radius")):
         if not 0.0 < cfg[section][key] < np.inf:
             raise ConfigError(f"{section}.{key} must be a positive number")
-    # a helix of radius 0 is a line; a negative radius would run the guide
-    # of radius |radius|, turned by pi
+    # a helix of radius 0 is a line, but a circle of radius 0 is a point; a
+    # negative radius would run the guide of radius |radius|, turned by pi
     if not 0.0 <= cfg["geometry"]["radius"] < np.inf:
         raise ConfigError("geometry.radius must be a non-negative number")
+    if cfg["geometry"]["curve"] == "circle" and cfg["geometry"]["radius"] == 0:
+        raise ConfigError("geometry.radius must be positive on a circle")
     if not 0.0 < cfg["converge"]["eps0"] <= 1.0:
         raise ConfigError("converge.eps0 must lie in (0, 1]")
     if sv["G"] < 1 or sv["G"] & (sv["G"] - 1):

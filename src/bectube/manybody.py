@@ -514,13 +514,19 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
     round-off by construction (symmetric inputs are enforced); a max-abs
     defect of H - H^dagger above 1e-12 is refused.
 
+    H has the dtype its values have: the diagonal is real, and the hops and
+    the pair terms keep the dtype of h_one and of the kernel.  A real h_one
+    and kernel on the lattice modes give a float64 H; a block gives a
+    complex128 one, since the DFT makes its one-body matrix and its pair
+    coefficients complex.
+
     The hops, the pair terms and then the diagonal form one COO triple with
     int32 indices (``build_basis`` caps the basis at 10^6 states), each
     ``hop`` result freed as it joins, converted to CSR once; explicit zeros
     are dropped.  The peak while it runs is 2.5 to 3.5 times the bytes of
-    the CSR it returns (traced on the lattice modes at dims 3876 to 54264,
-    on-site and finite-range, and on blocks of dims 490 and 6798): the
-    triple beside the CSR, then the CSR beside H^dagger.
+    the CSR it returns (traced on the real lattice modes at dims 3876 to
+    54264, on-site and finite-range, and on complex blocks of dims 490 and
+    6798): the triple beside the CSR, then the CSR beside H^dagger.
     """
     occ = basis.occupations
     dim, d = occ.shape
@@ -551,7 +557,7 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
     states = np.arange(dim, dtype=np.int32)
     rows.append(states)
     cols.append(states)
-    vals.append(diag.astype(complex))
+    vals.append(diag)
 
     def concatenate(parts: list) -> np.ndarray:
         # the parts go as soon as their copy is made
@@ -561,7 +567,7 @@ def build_hamiltonian(basis: FockBasis, h_one: np.ndarray,
 
     H = sp.csr_matrix((concatenate(vals),
                        (concatenate(rows), concatenate(cols))),
-                      shape=(dim, dim), dtype=complex)
+                      shape=(dim, dim))
     H.eliminate_zeros()
     # summing the duplicates leaves views of the triple's length; the
     # matrix keeps arrays of its own nnz through the propagation
@@ -602,11 +608,23 @@ def _hermiticity_defect(H: sp.csr_matrix) -> float:
 
 
 def _re_dot(a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a, b> of two contiguous complex vectors, as one real sum over
-    the product of their float views.  Not BLAS (see above).
-    ``np.add.reduce`` sums pairwise, so the round-off grows like log n, not
-    like einsum's n."""
+    """Re <a, b> of two contiguous vectors of one dtype, real or complex,
+    as one real sum over the product of their float views.  Not BLAS (see
+    above).  ``np.add.reduce`` sums pairwise, so the round-off grows like
+    log n, not like einsum's n."""
     return float(np.add.reduce(a.view(float) * b.view(float)))
+
+
+def _matvec(H, u: np.ndarray) -> np.ndarray:
+    """H u, the one Fock-space product.  A real H applies to a complex u
+    as H Re u + i H Im u, two real products that take about as long as one
+    complex H would; scipy would otherwise cast H's values to complex on
+    every call, 1.4 to 1.7 times as long (dim 54264)."""
+    if H.dtype.kind == "c" or u.dtype.kind != "c":
+        return H @ u
+    out = np.empty_like(u)
+    out.real, out.imag = H @ u.real, H @ u.imag
+    return out
 
 
 def _tridiagonal_eig(alpha: np.ndarray, beta: np.ndarray):
@@ -669,9 +687,13 @@ def lanczos_expm_apply(H, v: np.ndarray, times: Sequence[float],
     At kdim vectors the space advances to the farthest time it still
     resolves, found by bisection on the same estimate, and a new space
     starts there.  The recurrence keeps kdim + 1 vectors of v's length.
-    Returns the list of states; decreasing times, a non-finite Krylov
-    vector or estimate, kdim < 2 or a space that resolves no step raise
-    ManyBodyError.
+
+    The Krylov vectors keep v's dtype, float64 or complex128 (complex when
+    H is): a real H and a real v give a real first space at half the bytes
+    per vector.  A restarted space starts from a complex state, so on a
+    real H its products go through ``_matvec``.  Returns the list of
+    states; decreasing times, a non-finite Krylov vector or estimate,
+    kdim < 2 or a space that resolves no step raise ManyBodyError.
     """
     if kdim < 2:
         # with one vector the estimate is beta_1 at every time, so no space
@@ -680,7 +702,7 @@ def lanczos_expm_apply(H, v: np.ndarray, times: Sequence[float],
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or np.any(np.diff(times) < 0):
         raise ManyBodyError("times must be an increasing sequence")
-    u = np.ascontiguousarray(v, dtype=complex)
+    u = np.ascontiguousarray(v, dtype=np.result_type(v.dtype, H.dtype, float))
     if not _re_dot(u, u):
         return [v.copy() for _ in times]
     out, t0 = [], 0.0
@@ -690,7 +712,7 @@ def lanczos_expm_apply(H, v: np.ndarray, times: Sequence[float],
         U = [u / beta0]
         del u
         for j in range(kdim):
-            w = H @ U[j]
+            w = _matvec(H, U[j])
             alpha[j] = _re_dot(U[j], w)
             w -= alpha[j] * U[j]
             if j:
@@ -742,21 +764,29 @@ def evolve_state(basis: FockBasis, H, psi0: np.ndarray, T: float,
     required dt, shortened to T / ceil(T / dt), and at T.  One
     ``lanczos_expm_apply`` call reaches them all, with tolerance 1e-12
     relative to the state's norm and at most
-    kdim = min(64, 32 MiB / (16 dim)) Krylov vectors: a budget of 32 MiB of
-    Krylov vectors, and kdim >= 2 under ``build_basis``'s cap of 10^6
-    states.  psi0 is normalized, the frames are not: the stored norms show
-    the propagator's own drift.
+    kdim = min(64, 32 MiB / (itemsize dim)) Krylov vectors: a budget of
+    32 MiB of Krylov vectors, and kdim >= 2 under ``build_basis``'s cap of
+    10^6 states.  On a real H a psi0 whose imaginary part is exactly 0 is
+    propagated as a float64 vector, so its first space holds up to twice
+    the vectors at the same bytes (8 bytes an entry); a restarted space
+    holds complex vectors, which may then take up to twice the budget.
+    psi0 is normalized, the frames are not: the stored norms show the
+    propagator's own drift.  Every frame is complex, psi0's too.
     """
-    psi = np.ascontiguousarray(psi0, dtype=complex)
+    psi = np.asarray(psi0)
+    if H.dtype.kind != "c" and not np.any(np.imag(psi)):
+        psi = psi.real
+    psi = np.ascontiguousarray(psi, dtype=np.result_type(psi.dtype, H.dtype,
+                                                         float))
     psi = psi / np.sqrt(_re_dot(psi, psi))
     n_steps, dt = _steps(T, dt)
     if store_every is None:
         store_every = n_steps
     times = [(step + 1) * dt for step in range(n_steps)
              if (step + 1) % store_every == 0 or step == n_steps - 1]
-    kdim = min(64, 2**25 // (16 * len(psi)))
+    kdim = min(64, 2**25 // (psi.itemsize * len(psi)))
     frames = lanczos_expm_apply(H, psi, times, kdim=kdim)
-    return [(0.0, psi.copy())] + list(zip(times, frames))
+    return [(0.0, psi.astype(complex))] + list(zip(times, frames))
 
 
 def evolve_state_dense(H, psi0: np.ndarray, times: Sequence[float]):
@@ -831,7 +861,7 @@ def excitation_probability(basis: FockBasis, psi: np.ndarray,
 def energy_per_particle(basis: FockBasis, psi: np.ndarray, H) -> float:
     """<psi, H psi>/N for the assembled (already renormalized) Hamiltonian."""
     psi = np.ascontiguousarray(psi, dtype=complex)
-    return _re_dot(psi, H @ psi) / basis.N
+    return _re_dot(psi, _matvec(H, psi)) / basis.N
 
 
 # ---------------------------------------------------------------------------

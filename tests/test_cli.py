@@ -47,6 +47,14 @@ class TestConfig:
         cfg = cli.load_config(None)
         assert cfg["scaling"]["beta"] == 0.25
 
+    def test_helix_of_radius_zero_runs(self, outdir, tmp_path):
+        # a helix of radius 0 is a line; only a circle needs a positive
+        # radius
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"geometry": {"curve": "helix",
+                                              "radius": 0.0}}))
+        assert cli.main(["frame", "--config", str(p)]) == 0
+
     def test_unknown_section(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text('{"bogus": {"x": 1}}')
@@ -90,6 +98,7 @@ class TestConfig:
         {"solver": {"store_every": 0}}, {"solver": {"sigma": 0.0}},
         {"solver": {"sigma": -1.0}}, {"geometry": {"radius": -1.0}},
         {"converge": {"alpha": -2.0}}, {"converge": {"alpha": -1e6}},
+        {"geometry": {"curve": "circle", "radius": 0.0}},
     ], ids=["dx_negative", "dx_zero", "G_x_zero", "G_x_two", "G_x_float",
             "T_zero", "T_negative", "m_zero", "m_float", "N_float",
             "N_string", "N_bool", "N_zero", "dt_string", "n_string",
@@ -98,7 +107,7 @@ class TestConfig:
             "G_not_power_of_two", "n_zero", "dt_zero", "dt_negative",
             "store_every_zero", "sigma_zero", "sigma_negative",
             "guide_radius_negative", "alpha_eps_above_one",
-            "alpha_eps_overflow"])
+            "alpha_eps_overflow", "circle_radius_zero"])
     def test_out_of_range_is_config_error(self, outdir, tmp_path, patch):
         # a negative dx silently dropped the interaction, G_x = 0 ended in
         # a traceback, and G_x < 3 merged a site's two bonds into one entry;
@@ -109,9 +118,10 @@ class TestConfig:
         # eps0 = 2, X = -8, G = 100, n = 0, dt <= 0, store_every = 0 and a
         # Gaussian's sigma = 0 exited as numerical failures, and sigma = -1
         # ran |sigma|; a guide of radius -1 ran, and an alpha that takes
-        # converge's eps above 1 exited as a numerical failure
+        # converge's eps above 1 and a circle of radius 0 exited as
+        # numerical failures.  The message names the patch's last key
         ((section, table),) = patch.items()
-        ((key, _),) = table.items()
+        key = list(table)[-1]
         p = tmp_path / "c.json"
         p.write_text(json.dumps(patch))
         with pytest.raises(cli.ConfigError, match=f"{section}.{key}"):
@@ -352,12 +362,39 @@ class TestBlasThreads:
     OpenBLAS thread stays asleep and the results do not depend on the
     thread count."""
 
+    # a real lattice-mode evolution at d = 16, N = 5: Fock vectors of 15504
+    # entries, above OpenBLAS's 10000-entry threading threshold, in real
+    # Krylov vectors and then, past a restart at T = 2, complex ones; it
+    # prints a digest of its frames
+    LATTICE_EVOLUTION = [
+        "import hashlib",
+        "import numpy as np",
+        "from bectube import manybody as mb",
+        "spb = mb.SingleParticleBasis(G_x=16, dx=0.5, eps=0.5, "
+        "transverse_energies=np.array([2.0]))",
+        "h = mb.one_body_matrix(spb)",
+        "basis = mb.build_basis(16, 5)",
+        "H = mb.build_hamiltonian(basis, h, np.array([0]), "
+        "np.full((1, 1, 1, 1, 1), 4.0))",
+        "assert basis.dim == 15504 and H.dtype == np.float64",
+        "psi0 = mb.condensate_state(basis, np.linalg.eigh(h)[1][:, 0])",
+        "frames = mb.evolve_state(basis, H, psi0, T=2.0, dt=0.25)",
+        "print(hashlib.sha256(b''.join(p.tobytes() for _, p in frames))"
+        ".hexdigest())"]
+
     @staticmethod
-    def other_thread_cpu(commands, tmp_path):
-        """CPU seconds that every thread but the main one burns over
-        cli.main on each argument list of commands, at 2 BLAS threads; a
-        woken OpenBLAS worker spins about 0.13 s after its last job, so the
-        count ends 0.4 s after the runs."""
+    def cli_runs(commands, out) -> list:
+        """The lines of code that run cli.main on each argument list of
+        commands, writing under out."""
+        return [f"assert cli.main({argv + ['--out', str(out)]!r}) == 0"
+                for argv in commands]
+
+    @staticmethod
+    def other_thread_cpu(work):
+        """CPU seconds that every thread but the main one burns over the
+        lines of code work, at 2 BLAS threads; a woken OpenBLAS worker spins
+        about 0.13 s after its last job, so the count ends 0.4 s after the
+        work."""
         if not Path("/proc/self/task").is_dir():
             pytest.skip("no /proc/self/task to read thread CPU times from")
         code = "\n".join([
@@ -372,8 +409,7 @@ class TestBlasThreads:
             "            ticks += int(f[11]) + int(f[12])",
             "    return ticks / os.sysconf('SC_CLK_TCK')",
             "time.sleep(0.4)", "before = others()"]
-            + [f"assert cli.main({argv + ['--out', str(tmp_path)]!r}) == 0"
-               for argv in commands]
+            + work
             + ["time.sleep(0.4)",
                "print(len(os.listdir('/proc/self/task')), others() - before)"])
         threads, cpu = _python(code, **_blas_threads(2))[-1].split()
@@ -385,37 +421,47 @@ class TestBlasThreads:
     def scalars_at(n, commands, out):
         """scalars.json of each run of commands at n BLAS threads, keyed by
         subcommand."""
-        _python("\n".join(
-            ["import bectube.cli as cli"]
-            + [f"assert cli.main({argv + ['--out', str(out)]!r}) == 0"
-               for argv in commands]), **_blas_threads(n))
+        _python("\n".join(["import bectube.cli as cli"]
+                           + TestBlasThreads.cli_runs(commands, out)),
+                **_blas_threads(n))
         return {d.name.split("-")[0]: (d / "scalars.json").read_bytes()
                 for d in out.iterdir()}
 
     def test_manybody_leaves_the_second_thread_asleep(self, tmp_path):
-        assert self.other_thread_cpu([["manybody"]], tmp_path) <= 0.02
+        work = self.cli_runs([["manybody"]], tmp_path)
+        assert self.other_thread_cpu(work) <= 0.02
 
     def test_converge_leaves_the_second_thread_asleep(self, tmp_path):
-        # its N = 6 point (Fock dimension 54264) builds the largest Krylov
-        # space of any command
-        assert self.other_thread_cpu([["converge"]], tmp_path) <= 0.02
+        # its N = 6 point, a zero-momentum block of 6798 states, builds the
+        # largest Krylov space of any command
+        work = self.cli_runs([["converge"]], tmp_path)
+        assert self.other_thread_cpu(work) <= 0.02
+
+    def test_lattice_evolution_leaves_the_second_thread_asleep(self):
+        assert self.other_thread_cpu(self.LATTICE_EVOLUTION) <= 0.02
 
     def test_disk_coeffs_and_evolve_leave_the_second_thread_asleep(
             self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(DISK_HELIX))
         commands = [[c, "--config", str(p)] for c in ("coeffs", "evolve")]
-        assert self.other_thread_cpu(commands, tmp_path / "out") <= 0.02
+        work = self.cli_runs(commands, tmp_path / "out")
+        assert self.other_thread_cpu(work) <= 0.02
 
     def test_scalars_do_not_depend_on_the_thread_count(self, tmp_path):
-        # converge's N = 6 point has Fock dimension 54264, above every
-        # BLAS threading threshold
+        # converge's N = 6 point is a block of 6798 states, below the BLAS
+        # threading thresholds; the lattice evolution below runs above them
         assert cli.load_config(None)["converge"]["N_list"][-1] == 6
         commands = [["manybody"], ["converge"]]
         scalars = [self.scalars_at(n, commands, tmp_path / f"threads{n}")
                    for n in (1, 2)]
         assert sorted(scalars[0]) == ["converge", "manybody"]
         assert scalars[0] == scalars[1]
+
+    def test_lattice_evolution_does_not_depend_on_the_thread_count(self):
+        code = "\n".join(self.LATTICE_EVOLUTION)
+        digests = [_python(code, **_blas_threads(n)) for n in (1, 2)]
+        assert len(digests[0]) == 1 and digests[0] == digests[1]
 
     def test_disk_scalars_do_not_depend_on_the_thread_count(self, tmp_path):
         p = tmp_path / "c.json"

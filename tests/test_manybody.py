@@ -80,7 +80,7 @@ def _wrapped_system(exchange=True):
 def _criterion9(N: int) -> dict:
     """The criterion-9 system at N: 16 sites, one transverse mode, coupling
     lam / (N - 1) with lam = 4 K calibrated at N = 4, from the condensate of
-    the lattice ground state."""
+    the lattice ground state phi0."""
     modes = tv.dirichlet_modes(tv.rectangle(np.pi, np.pi, n=63), m=1)
     w = sc.bump_potential().scaled(15.0)
     offsets, K = mb.mode_kernel(modes, w, sc.scaling_params(4, 0.5, 0.25), 0.5)
@@ -89,8 +89,9 @@ def _criterion9(N: int) -> dict:
     h = mb.one_body_matrix(spb)
     basis = mb.build_basis(spb.d, N)
     H = mb.build_hamiltonian(basis, h, offsets, 4 * K / (N - 1), G_x=16, m=1)
-    psi0 = mb.condensate_state(basis, np.linalg.eigh(h)[1][:, 0])
-    return dict(basis=basis, H=H, psi0=psi0)
+    phi0 = np.linalg.eigh(h)[1][:, 0]
+    return dict(basis=basis, H=H, phi0=phi0,
+                psi0=mb.condensate_state(basis, phi0))
 
 
 @pytest.fixture(scope="module")
@@ -108,13 +109,19 @@ def _random_state(dim: int, seed: int) -> np.ndarray:
 
 
 class _CountingMatrix:
-    """H whose products with vectors are counted."""
+    """H whose products with vectors are counted.  A real H applies to a
+    complex vector as two products with its real and imaginary parts,
+    strided views, and each counts one half."""
 
     def __init__(self, H):
         self.H, self.matvecs = H, 0
 
+    @property
+    def dtype(self):
+        return self.H.dtype
+
     def __matmul__(self, x):
-        self.matvecs += 1
+        self.matvecs += 1 if x.flags.c_contiguous else 0.5
         return self.H @ x
 
 
@@ -453,6 +460,7 @@ class TestHamiltonian:
                                  mb.one_body_matrix(spb), offsets, K,
                                  G_x=G_x, m=spb.m)
         assert H.shape == (3876, 3876) and H.nnz == 32164
+        assert H.dtype == np.float64
         odd = np.indices(K.shape[1:]).sum(axis=0) % 2 == 1
         assert np.max(np.abs(K[:, odd])) <= 1e-17
         K_even = K.copy()
@@ -523,9 +531,9 @@ class TestHamiltonian:
     def test_assembly_peak_memory(self):
         # the converge N = 6 point of the default config (dim 54264):
         # assembly holds at most 4 times the bytes of the CSR it returns
-        # (2.6 measured; 2.9 before the pair terms were folded, 7.2 when
-        # the diagonal was added to the CSR and H - H^dagger was a sparse
-        # difference)
+        # (2.74 measured on the real CSR, 2.56 when it was complex; 2.9
+        # before the pair terms were folded, 7.2 when the diagonal was
+        # added to the CSR and H - H^dagger was a sparse difference)
         cfg = cli.load_config(None)
         cv = cfg["converge"]
         eps = cv["eps0"] * (6 / cv["N_list"][0]) ** (-cv["alpha"])
@@ -539,7 +547,7 @@ class TestHamiltonian:
         # the default config at dx = 0.2, N = 4, eps = 0.5: five offsets,
         # 320 unfolded pair monomials, 168 folded ones.  A mask per monomial
         # traced 5.98 times the CSR; one per annihilated pair and folded
-        # pair terms, 2.9
+        # pair terms, 2.89 on a complex CSR and 3.28 on the real one
         cfg = cli.load_config(None)
         cfg["solver"]["dx"] = 0.2
         spb, offsets, K, h, _ = cli._lattice(cfg, 4, 0.5, cli.build_modes(cfg))
@@ -659,6 +667,40 @@ class TestPropagation:
         out = mb.lanczos_expm_apply(H, v, [T], kdim=16)
         assert len(out) == 1 and H.matvecs > 4 * 16
         assert np.linalg.norm(out[0] - ref) < 1e-10
+
+    @pytest.mark.parametrize("start", ["real", "restart", "complex"])
+    def test_real_hamiltonian_matches_complex(self, criterion9_system,
+                                              monkeypatch, start):
+        # the real H of the criterion-9 system against the same H stored
+        # complex: a real start runs in real Krylov vectors; kdim = 8 forces
+        # restarts, whose complex spaces apply the real H through
+        # ``_matvec``; the condensate of phi0 exp(2 pi i g / G_x) is complex
+        s = criterion9_system
+        H, basis = s["H"], s["basis"]
+        assert H.dtype == np.float64
+        kinds = []
+        matvec = mb._matvec
+
+        def recording(A, u):
+            if A is H:
+                kinds.append(u.dtype.kind)
+            return matvec(A, u)
+
+        monkeypatch.setattr(mb, "_matvec", recording)
+        if start == "restart":
+            v, times = s["psi0"].real.copy(), [0.25, 0.5, 1.0]
+            a, b = (mb.lanczos_expm_apply(A, v, times, kdim=8)
+                    for A in (H, H.astype(complex)))
+        else:
+            v = s["psi0"] if start == "real" else mb.condensate_state(
+                basis, s["phi0"] * np.exp(2j * np.pi * np.arange(16) / 16))
+            a, b = ([p for _, p in mb.evolve_state(basis, A, v, T=1.0,
+                                                   dt=0.125, store_every=2)]
+                    for A in (H, H.astype(complex)))
+        assert len(a) == len(b) and all(p.dtype == complex for p in a)
+        assert max(np.linalg.norm(p - q) for p, q in zip(a, b)) <= 1e-13
+        assert set(kinds) == {"real": {"f"}, "restart": {"f", "c"},
+                              "complex": {"c"}}[start]
 
     def test_frames_from_one_call_match_dense(self, criterion9_system):
         # 8 frames to T = 4 that several spaces reach in turn
@@ -1015,6 +1057,7 @@ class TestMomentumBlock:
         H = mb.build_hamiltonian(mb.momentum_block(spb.G_x, spb.m, N), h,
                                  offsets, K)
         assert H.shape == (490, 490) and H.nnz == 18170
+        assert H.dtype == np.complex128
         # the folded terms over the momentum modes: of the 2320 pairs of
         # pairs that share a total momentum, those the kernel couples
         assert len(mb._pair_terms(offsets, K, spb.d, None, None,
