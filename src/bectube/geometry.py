@@ -379,22 +379,6 @@ def embed(r, eps: float, frame: FrameField, twist: TwistSpec) -> np.ndarray:
     return frame.curve.c(x) + ty[..., :1] * e1 + ty[..., 1:] * e2
 
 
-def embed_jacobian_det(r, eps: float, frame: FrameField,
-                       twist: TwistSpec) -> float:
-    """Central finite-difference Jacobian determinant of the embedding, with
-    step 1e-5."""
-    h = 1e-5
-    r = np.asarray(r, dtype=float)
-    J = np.empty((3, 3))
-    for j in range(3):
-        dp = r.copy()
-        dm = r.copy()
-        dp[j] += h
-        dm[j] -= h
-        J[:, j] = (embed(dp, eps, frame, twist) - embed(dm, eps, frame, twist)) / (2 * h)
-    return float(np.linalg.det(J))
-
-
 def metric_factors(r, eps: float, frame: FrameField, twist: TwistSpec):
     """Metric factor rho = 1 - eps (T_theta y . kappa) and
     s = (rho^2 - 1) / (eps rho^2), with the eps -> 0 limit -2 (T_theta y . kappa),

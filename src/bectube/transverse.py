@@ -3,14 +3,17 @@
 Solves -Lap + Vperp on a bounded 2D region with a 5-point finite-difference
 discretization (Dirichlet boundary by mask exclusion) and computes the scalar
 quantities the effective 1D equation needs: ground-state energy, spectral
-gap, the quartic integral of the ground mode, the angular-momentum norm, and
-the mode-overlap tensor.  The lowest modes are a closed form on a full
-rectangle with constant Vperp and come from shift-invert Arnoldi on one
-sparse LU otherwise; for up to 14 modes neither calls threaded BLAS.
+gap, the quartic integral of the ground mode and the angular-momentum norm.
+The lowest modes are a closed form on a full rectangle with constant Vperp.
+Otherwise they come from shift-invert Arnoldi, with one sparse LU per
+mirror-parity class: a disk splits into four quarter-size problems, an
+ellipse into two or four, an asymmetric section is one class.  For up to 14
+modes neither path calls threaded BLAS.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -19,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-# Arnoldi steps allowed beyond 4 per wanted eigenpair (``_arnoldi``)
+# Arnoldi steps allowed beyond 4 per wanted eigenpair (``_Arnoldi``)
 _ARNOLDI_STEPS = 40
 
 
@@ -63,15 +66,18 @@ class CrossSection:
 
 
 def _grid(extent1, extent2, n):
-    # interior nodes only: h = L/(n+1), nodes at h, 2h, ..., n h
-    a0, a1 = extent1
-    b0, b1 = extent2
-    n1 = n
-    h = (a1 - a0) / (n + 1)
-    n2 = int(round((b1 - b0) / h)) - 1
-    y1 = a0 + h * np.arange(1, n1 + 1)
-    y2 = b0 + h * np.arange(1, n2 + 1)
-    return y1, y2
+    # interior nodes only: h = L/(n+1), nodes at h, 2h, ..., n h from the
+    # low end.  An extent (-L, L) that h (n + 1) spans exactly is laid out
+    # from its centre, so its nodes are mirror images to the last bit
+    h = (extent1[1] - extent1[0]) / (n + 1)
+    n2 = int(round((extent2[1] - extent2[0]) / h)) - 1
+
+    def axis(lo, hi, k):
+        if lo == -hi and h * (k + 1) == hi - lo:
+            return h * (np.arange(1, k + 1) - (k + 1) / 2)
+        return lo + h * np.arange(1, k + 1)
+
+    return axis(*extent1, n), axis(*extent2, n2)
 
 
 def rectangle(a: float, b: float, n: int, vperp=None) -> CrossSection:
@@ -102,14 +108,6 @@ def ellipse(a: float, b: float, n: int) -> CrossSection:
     mask = (Y1 / a) ** 2 + (Y2 / b) ** 2 < 1.0
     return CrossSection("ellipse", y1, y2, mask, np.zeros(mask.shape),
                         levelset=lambda p1, p2: (p1 / a) ** 2 + (p2 / b) ** 2 - 1.0)
-
-
-def masked(y1, y2, mask) -> CrossSection:
-    """The nodes of the grid y1 x y2 where mask holds, with no transverse
-    potential."""
-    mask = np.asarray(mask, dtype=bool)
-    return CrossSection("mask", np.asarray(y1, float), np.asarray(y2, float),
-                        mask, np.zeros(mask.shape))
 
 
 @dataclass
@@ -152,34 +150,34 @@ def _boundary_fractions(cs: CrossSection) -> dict:
     Dirichlet boundary in each grid direction.
 
     Equals 1.0 toward an interior neighbor.  With a levelset the true zero
-    crossing is located by bisection; without one the boundary is taken to sit
-    exactly one spacing outside the mask.
+    crossing is located by bisection, of every arm that leaves the mask at
+    once; without one the boundary is taken to sit exactly one spacing
+    outside the mask.
     """
-    n1, n2 = cs.mask.shape
+    dirs = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    out = {d: np.ones(cs.mask.shape) for d in dirs}
+    if cs.levelset is None:
+        return out
     h = cs.h
-    out = {}
-    Y1, Y2 = np.meshgrid(cs.y1, cs.y2, indexing="ij")
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        t = np.ones((n1, n2))
-        if cs.levelset is not None:
-            ii, jj = np.nonzero(cs.mask)
-            i2, j2 = ii + di, jj + dj
-            inside = (i2 >= 0) & (i2 < n1) & (j2 >= 0) & (j2 < n2)
-            inside[inside] = cs.mask[i2[inside], j2[inside]]
-            bi, bj = ii[~inside], jj[~inside]
-            if len(bi):
-                p1, p2 = Y1[bi, bj], Y2[bi, bj]
-                lo = np.zeros(len(bi))
-                hi = np.ones(len(bi))
-                crosses = cs.levelset(p1 + h * di, p2 + h * dj) >= 0
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    f = cs.levelset(p1 + mid * h * di, p2 + mid * h * dj)
-                    hi = np.where(f >= 0, mid, hi)
-                    lo = np.where(f >= 0, lo, mid)
-                frac = np.where(crosses, np.maximum(hi, 1e-6), 1.0)
-                t[bi, bj] = frac
-        out[(di, dj)] = t
+    ii, jj = np.nonzero(cs.mask)
+    padded = np.pad(cs.mask, 1)
+    arms = [(k, ~padded[ii + 1 + d1, jj + 1 + d2])
+            for k, (d1, d2) in enumerate(dirs)]
+    arm = np.concatenate([np.full(leaves.sum(), k) for k, leaves in arms])
+    bi = np.concatenate([ii[leaves] for _, leaves in arms])
+    bj = np.concatenate([jj[leaves] for _, leaves in arms])
+    di, dj = np.array(dirs, dtype=float)[arm].T
+    p1, p2 = cs.y1[bi], cs.y2[bj]
+    lo, hi = np.zeros(len(bi)), np.ones(len(bi))
+    crosses = cs.levelset(p1 + h * di, p2 + h * dj) >= 0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        f = cs.levelset(p1 + mid * h * di, p2 + mid * h * dj)
+        hi = np.where(f >= 0, mid, hi)
+        lo = np.where(f >= 0, lo, mid)
+    frac = np.where(crosses, np.maximum(hi, 1e-6), 1.0)
+    for k, d in enumerate(dirs):
+        out[d][bi[arm == k], bj[arm == k]] = frac[arm == k]
     return out
 
 
@@ -246,77 +244,167 @@ def _product_modes(cs: CrossSection, k: int):
     return energies[order], vecs
 
 
-def _shift_invert_modes(cs: CrossSection, k: int):
-    """The k lowest eigenpairs, in ascending order, by shift-invert Arnoldi
-    at sigma = min Vperp - 1.
+def _mirror_axes(cs: CrossSection) -> tuple:
+    """The grid axes whose reflection maps the discrete operator onto itself
+    bit for bit: mask, Vperp and the boundary fractions equal their mirror
+    images, with the two arms along the axis swapped."""
+    frac = cs.boundary_fractions
+    axes = []
+    for ax in (0, 1):
+        def mirrored(d):
+            return np.flip(frac[tuple(-c if i == ax else c
+                                      for i, c in enumerate(d))], ax)
 
-    In every row of the 5-point or Shortley-Weller stencil the off-diagonal
-    magnitudes sum to at most the Laplacian part of the diagonal, so each
-    row of A - sigma I is strictly diagonally dominant, by
-    Vperp - min Vperp + 1 >= 1.  The LU therefore needs no pivoting and
-    keeps the minimum-degree ordering of the symmetric pattern, about half
-    the fill of the default column ordering.  ``_arnoldi`` serves the
-    symmetric stencil of a mask and the mildly nonsymmetric, real-spectrum
-    one of a curved shape alike.
+        if (np.array_equal(cs.mask, np.flip(cs.mask, ax))
+                and np.array_equal(cs.vperp, np.flip(cs.vperp, ax))
+                and all(np.array_equal(t, mirrored(d))
+                        for d, t in frac.items())):
+            axes.append(ax)
+    return tuple(axes)
+
+
+def _parity_classes(cs: CrossSection, axes):
+    """Yield per parity class of the mirror axes, in the order ee, eo, oe,
+    oo: the full-grid indices of its nodes (the restriction R) and its
+    mirror extension P, (full nodes x class nodes) with entries +-1.  A
+    node stands for its mirror images; an odd class drops the nodes on a
+    mirror line (odd n), where its modes vanish."""
+    ij = np.nonzero(cs.mask)
+    n = len(ij[0])
+    for parity in itertools.product((1.0, -1.0), repeat=len(axes)):
+        rep, sign = list(ij), np.ones(n)
+        kept = np.ones(n, dtype=bool)
+        for ax, p in zip(axes, parity):
+            mirror = cs.mask.shape[ax] - 1 - ij[ax]
+            rep[ax] = np.minimum(ij[ax], mirror)
+            sign[ij[ax] > mirror] *= p
+            if p < 0:
+                kept &= ij[ax] != mirror
+        own = kept & (rep[0] == ij[0]) & (rep[1] == ij[1])
+        col = np.zeros(cs.mask.shape, dtype=np.int64)
+        col[ij[0][own], ij[1][own]] = np.arange(own.sum())
+        P = sp.csr_matrix((sign[kept], (np.flatnonzero(kept),
+                                        col[rep[0][kept], rep[1][kept]])),
+                          shape=(n, int(own.sum())))
+        yield np.flatnonzero(own), P
+
+
+def _shift_invert_modes(cs: CrossSection, k: int):
+    """The k lowest eigenpairs by shift-invert Arnoldi at
+    sigma = min Vperp - 1, in ascending order up to ties.
+
+    Where reflection in a grid axis maps the operator onto itself
+    (``_mirror_axes``), every eigenvector is even or odd in that axis, and
+    each parity class is solved on its half or quarter of the grid, with
+    its own LU and Arnoldi space (``_parity_classes``); no mirror axis
+    leaves one class.  Each class yields one pair, then grows by one while
+    it has fewer than k and its highest energy lies below the k-th lowest
+    over all classes by more than a tie (1e-10 relative): a disk at k = 3
+    takes 2/1/1/1 pairs.  A tie goes to the first class, so a disk's chi_1
+    is even in y1 and odd in y2.
+
+    Each row of the 5-point or Shortley-Weller stencil has off-diagonal
+    magnitudes summing to at most the Laplacian part of its diagonal, so
+    A - sigma I is strictly diagonally dominant by rows, by
+    Vperp - min Vperp + 1 >= 1, and so is a class operator, whose folded
+    arms only merge or cancel.  The LU therefore needs no pivoting and keeps
+    the minimum-degree ordering of the symmetric pattern, about half the
+    fill of the default column ordering.
     """
     A = _laplacian(cs)
     sigma = float(cs.vperp.min()) - 1.0
-    lu = splu((A - sigma * sp.eye(A.shape[0])).tocsc(),
-              permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
-    theta, vecs = _arnoldi(lu.solve, A.shape[0], k)
-    vals = sigma + 1.0 / theta
+    classes = []
+    for rows, P in _parity_classes(cs, _mirror_axes(cs)):
+        B = A[rows] @ P
+        lu = splu((B - sigma * sp.eye(B.shape[0])).tocsc(),
+                  permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
+        classes.append((P, _Arnoldi(lu.solve, B.shape[0], k)))
+    found = [arnoldi.pairs(1) for _, arnoldi in classes]
+    while True:
+        energies = [sigma + 1.0 / theta.real for theta, _ in found]
+        every = np.sort(np.concatenate(energies))
+        bar = (every[k - 1] - 1e-10 * abs(every[k - 1]) if len(every) >= k
+               else np.inf)
+        grow = [c for c, e in enumerate(energies)
+                if len(e) < k and e.max() < bar]
+        if not grow:
+            break
+        for c in grow:
+            found[c] = classes[c][1].pairs(len(energies[c]) + 1)
+
+    vals = sigma + 1.0 / np.concatenate([theta for theta, _ in found])
     if np.max(np.abs(vals.imag)) > 1e-8 * np.max(np.abs(vals.real)):
         raise CrossSectionError("eigensolver returned complex eigenvalues")
-    # strip the arbitrary complex phase of each eigenvector
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs = (vecs * (np.abs(lead) / lead)).real
-    order = np.argsort(vals.real)
-    return vals.real[order], vecs[:, order]
+    vals = vals.real
+    vecs = []
+    for (P, _), (_, S) in zip(classes, found):
+        # strip the arbitrary complex phase of each eigenvector
+        lead = S[np.argmax(np.abs(S), axis=0), np.arange(S.shape[1])]
+        vecs.append(P @ (S * (np.abs(lead) / lead)).real)
+    vecs = np.hstack(vecs)
+    cls = np.concatenate([np.full(len(theta), c)
+                          for c, (theta, _) in enumerate(found)])
+    order = np.argsort(vals, kind="stable")
+    tie = np.diff(vals[order]) <= 1e-10 * np.abs(vals[order][1:])
+    cluster = np.cumsum(np.r_[True, ~tie])
+    order = order[np.lexsort((cls[order], cluster))][:k]
+    return vals[order], vecs[:, order]
 
 
-def _arnoldi(op: Callable, n: int, k: int):
-    """The k eigenpairs of largest magnitude of the n x n operator ``op``,
-    by unrestarted Arnoldi (Saad 2011, Numerical Methods for Large
-    Eigenvalue Problems, ch. 4).
+class _Arnoldi:
+    """Unrestarted Arnoldi on the n x n operator ``op`` (Saad 2011,
+    Numerical Methods for Large Eigenvalue Problems, ch. 4), extended on
+    demand: ``pairs(k)`` steps on until the k Ritz pairs of largest
+    magnitude converge and returns their values and unit vectors, in
+    columns; ``k_max`` is the most any call wants.
 
     The start vector is fixed and has no symmetry, so no eigenspace of a
-    symmetric cross-section is orthogonal to it.  Each new vector is
-    orthogonalized by classical Gram-Schmidt done twice, with ``einsum``
-    and pairwise sums: on vectors of more than 10000 entries a BLAS
-    product would wake a second OpenBLAS thread.  After step j the Ritz
-    pairs (theta_i, s_i) of the j x j Hessenberg matrix H_j have the
-    residual h_(j+1,j) |s_(j,i)|; the solve stops when each of the k
-    wanted pairs has a residual of at most 1e-12 |theta_i|, and raises
-    ``CrossSectionError`` if _ARNOLDI_STEPS + 4k steps (or n - 1) do not
-    get there.  Up to k = 15 that cap keeps H_j at 100 rows or fewer, where
-    ``np.linalg.eig`` wakes no BLAS thread either.  Returns the Ritz values
-    and unit Ritz vectors, in columns.
+    class operator is orthogonal to it.  Each new vector is orthogonalized
+    by classical Gram-Schmidt done twice, with ``einsum`` and pairwise sums:
+    on vectors of more than 10000 entries a BLAS product would wake a
+    second OpenBLAS thread.  After step j the Ritz pairs (theta_i, s_i) of
+    the j x j Hessenberg matrix H_j have the residual h_(j+1,j) |s_(j,i)|;
+    ``pairs(k)`` returns once each wanted pair's is at most
+    1e-12 |theta_i|, and raises ``CrossSectionError`` if _ARNOLDI_STEPS + 4k
+    steps (or n - 1) do not get there.  Up to k = 15 that cap keeps H_j at
+    100 rows or fewer, where ``np.linalg.eig`` wakes no BLAS thread either.
     """
-    steps = min(n - 1, _ARNOLDI_STEPS + 4 * k)
-    V = np.empty((steps + 1, n))
-    H = np.zeros((steps + 1, steps))
-    v = np.random.default_rng(0).standard_normal(n)
-    V[0] = v / np.sqrt(np.add.reduce(v * v))
-    for j in range(steps):
-        w = op(V[j])
-        for _ in range(2):
-            c = np.einsum("ij,j->i", V[:j + 1], w)
-            w -= np.einsum("i,ij->j", c, V[:j + 1])
-            H[:j + 1, j] += c
-        H[j + 1, j] = np.sqrt(np.add.reduce(w * w))
-        if j + 1 >= k:
-            theta, S = np.linalg.eig(H[:j + 1, :j + 1])
-            want = np.argsort(-np.abs(theta), kind="stable")[:k]
-            theta, S = theta[want], S[:, want]
-            if np.all(H[j + 1, j] * np.abs(S[j]) <= 1e-12 * np.abs(theta)):
-                return theta, np.einsum("ij,ik->jk", V[:j + 1], S)
-        if H[j + 1, j] == 0.0:
-            break
-        V[j + 1] = w / H[j + 1, j]
-    raise CrossSectionError(
-        f"shift-invert Arnoldi did not converge {k} eigenpairs in "
-        f"{j + 1} steps")
+
+    def __init__(self, op: Callable, n: int, k_max: int):
+        self.op = op
+        cap = min(n - 1, _ARNOLDI_STEPS + 4 * k_max)
+        self.V = np.empty((cap + 1, n))
+        self.H = np.zeros((cap + 1, cap))
+        v = np.random.default_rng(0).standard_normal(n)
+        self.V[0] = v / np.sqrt(np.add.reduce(v * v))
+        self.j = 0          # steps taken
+
+    def pairs(self, k: int):
+        V, H = self.V, self.H
+        steps = min(_ARNOLDI_STEPS + 4 * k, H.shape[1])
+        while True:
+            j = self.j
+            if j >= k:
+                theta, S = np.linalg.eig(H[:j, :j])
+                want = np.argsort(-np.abs(theta), kind="stable")[:k]
+                theta, S = theta[want], S[:, want]
+                if np.all(H[j, j - 1] * np.abs(S[j - 1])
+                          <= 1e-12 * np.abs(theta)):
+                    return theta, np.einsum("ij,ik->jk", V[:j], S)
+            if j == steps or (j and H[j, j - 1] == 0.0):
+                raise CrossSectionError(
+                    f"shift-invert Arnoldi did not converge {k} eigenpairs "
+                    f"in {j} steps")
+            w = self.op(V[j])
+            for _ in range(2):
+                c = np.einsum("ij,j->i", V[:j + 1], w)
+                w -= np.einsum("i,ij->j", c, V[:j + 1])
+                H[:j + 1, j] += c
+            H[j + 1, j] = np.sqrt(np.add.reduce(w * w))
+            if H[j + 1, j] != 0.0:
+                V[j + 1] = w / H[j + 1, j]
+            self.j = j + 1
 
 
 def dirichlet_modes(cs: CrossSection, m: int) -> TransverseModes:
@@ -326,11 +414,12 @@ def dirichlet_modes(cs: CrossSection, m: int) -> TransverseModes:
     has a separable operator, and its modes are the sampled product sines
     of ``_product_modes``; no matrix is built.  Every other cross-section
     (masks, a varying Vperp, curved shapes) goes to shift-invert Arnoldi
-    (relative Ritz residual 1e-12) on one fill-reducing LU
-    (``_shift_invert_modes``); for m <= 14 neither path calls threaded
-    BLAS.
+    (relative Ritz residual 1e-12) on a fill-reducing LU per mirror-parity
+    class (``_shift_invert_modes``); for m <= 14 neither path calls
+    threaded BLAS.
     On a square, chi_1 is the (1, 2) product mode, even in y1 and odd in
-    y2; its partner (2, 1) is equally low, so m = 2 still cuts the basis
+    y2; on a disk it is the J1 partner of the same parity, by the class
+    order.  Its partner is equally low, so m = 2 still cuts the basis
     inside a degenerate pair.  The ground state must be simple and
     nodeless; both are checked.  The angular momentum is taken about the
     centroid of the mask.
@@ -402,28 +491,8 @@ def angular_momentum_norm(modes: TransverseModes) -> float:
     return float(cs.h**2 * np.sum(L0**2))
 
 
-def overlap_tensor(modes: TransverseModes) -> np.ndarray:
-    """O[a,b,c,d] = integral of chi_a chi_b chi_c chi_d; symmetric in all
-    index permutations, O[0,0,0,0] equals the quartic integral."""
-    m = len(modes.energies)
-    h = modes.cs.h
-    flat = modes.chi.reshape(m, -1)
-    return h**2 * np.einsum("ax,bx,cx,dx->abcd", flat, flat, flat, flat)
-
-
 def gap_scaling(modes: TransverseModes, eps: float) -> float:
     """Physical transverse gap (E1 - E0)/eps^2 after confinement scaling."""
     if eps <= 0:
         raise CrossSectionError("eps must be positive")
     return modes.gap / eps**2
-
-
-def rayleigh_residual(modes: TransverseModes) -> float:
-    """Max residual ||(A - E_j) chi_j|| over the returned modes."""
-    A = _laplacian(modes.cs)
-    res = 0.0
-    for j, E in enumerate(modes.energies):
-        v = modes.chi[j][modes.cs.mask]
-        v = v / np.linalg.norm(v)
-        res = max(res, float(np.linalg.norm(A @ v - E * v)))
-    return res

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bectube import cli, nls
+from oracles import masked
 
 
 @pytest.fixture()
@@ -463,14 +464,29 @@ class TestBlasThreads:
         digests = [_python(code, **_blas_threads(n)) for n in (1, 2)]
         assert len(digests[0]) == 1 and digests[0] == digests[1]
 
-    def test_disk_scalars_do_not_depend_on_the_thread_count(self, tmp_path):
+    def assert_coeffs_and_evolve_thread_free(self, cfg, tmp_path):
+        """coeffs and evolve on cfg write the same scalars.json at 1 and 2
+        BLAS threads."""
         p = tmp_path / "c.json"
-        p.write_text(json.dumps(DISK_HELIX))
+        p.write_text(json.dumps(cfg))
         commands = [[c, "--config", str(p)] for c in ("coeffs", "evolve")]
         scalars = [self.scalars_at(n, commands, tmp_path / f"threads{n}")
                    for n in (1, 2)]
         assert sorted(scalars[0]) == ["coeffs", "evolve"]
         assert scalars[0] == scalars[1]
+
+    def test_disk_scalars_do_not_depend_on_the_thread_count(self, tmp_path):
+        self.assert_coeffs_and_evolve_thread_free(DISK_HELIX, tmp_path)
+
+    # a disk off the unit radius, as the benchmark runs it, and an ellipse
+    # whose off-centre second axis leaves two parity classes, not four
+    @pytest.mark.parametrize("section", [
+        {"shape": "disk", "radius": 0.98},
+        {"shape": "ellipse", "a": 1.5, "b": 1.0}], ids=["disk_r098", "ellipse"])
+    def test_curved_scalars_do_not_depend_on_the_thread_count(self, tmp_path,
+                                                              section):
+        self.assert_coeffs_and_evolve_thread_free(
+            {**DISK_HELIX, "cross_section": section}, tmp_path)
 
 
 class TestRunSetup:
@@ -543,8 +559,7 @@ def _holed_square_modes(m):
     y = np.linspace(0.0, np.pi, 33)[1:-1]
     mask = np.ones((31, 31), dtype=bool)
     mask[5:11, 8:14] = False
-    return cli.transverse.dirichlet_modes(cli.transverse.masked(y, y, mask),
-                                          m=m)
+    return cli.transverse.dirichlet_modes(masked(y, y, mask), m=m)
 
 
 class TestStationaryReference:

@@ -13,8 +13,8 @@ records the code object of every Python call it makes:
 - every demo.
 
 A def of src/bectube (function, method or nested function; a lambda is no
-def) that the set never calls fails the test, unless it is part of a test
-oracle of ``test_public_names.KEPT_ORACLES`` or serves only a refusal.
+def) that the set never calls fails the test, unless it serves only a
+refusal.
 Defs are matched to code objects by file and qualified name, not by line,
 because a decorated function's code starts at its decorator's line.  Defs
 of one name in one scope share a key: verify's checks are all ``_``, and
@@ -35,8 +35,6 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
-
-from test_public_names import KEPT_ORACLES
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bectube"
@@ -129,9 +127,7 @@ def test_every_def_is_run_by_a_program(tmp_path):
     reached = {tuple(pair) for pair in json.loads(out.read_text())}
     defs = package_defs()
     assert REFUSAL_ONLY <= defs
-    unreached = {(file, name) for file, name in defs - reached
-                 if name.split(".")[0] not in KEPT_ORACLES}
-    assert sorted(unreached - REFUSAL_ONLY) == []
+    assert sorted(defs - reached - REFUSAL_ONLY) == []
 
 
 if __name__ == "__main__":

@@ -1,10 +1,9 @@
 """Every top-level name of ``bectube`` has a caller in the program, and
 every defaulted parameter has two: one that passes it and one that omits it.
 
-A public function that only tests call is either a reference implementation
-that the tests compare a product path against, listed in KEPT_ORACLES, or a
-duplicate path that should go.  A private one is a duplicate path: the tests
-compare against their own oracles.  A default that no program call
+A function that only tests call is a duplicate path that should go: the
+reference implementations the tests compare against live in
+``tests/oracles.py``, outside the package.  A default that no program call
 overrides is a constant, and one that every program call overrides is a
 required parameter.
 
@@ -17,11 +16,6 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-
-# oracles of the test suite; ``masked`` is the only input that reaches the
-# eigensolve of a cross-section with holes
-KEPT_ORACLES = ("convolution_defect_direct", "overlap_tensor",
-                "rayleigh_residual", "masked", "embed_jacobian_det")
 
 # defaults that only a benchmark reads: bench/tracer.py's hook records n_xi
 BENCH_READ_DEFAULTS = {("convolution_defect", "n_xi")}
@@ -61,13 +55,21 @@ def referenced_names(*dirs):
 
 
 def test_kept_oracles_exist():
-    assert sorted(set(KEPT_ORACLES) - top_level_names()[0]) == []
+    # the oracles are defined in the tests, and no name of the package
+    # shadows one of them
+    oracles = {node.name for node in ast.parse(
+        (ROOT / "tests" / "oracles.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)}
+    assert {"masked", "overlap_tensor", "rayleigh_residual",
+            "embed_jacobian_det", "convolution_defect_direct",
+            "convolution_defect_cube"} <= oracles
+    assert sorted(oracles & set().union(*top_level_names())) == []
 
 
 def test_every_public_name_has_a_program_caller():
     public, _ = top_level_names()
     unreached = public - referenced_names("src", "demos", "bench")
-    assert sorted(unreached - set(KEPT_ORACLES)) == []
+    assert sorted(unreached) == []
 
 
 def test_every_private_name_has_a_program_caller():
@@ -94,12 +96,11 @@ def defaulted_parameters():
     """(file:function(parameter), function, parameter, positional
     parameter names) of every defaulted parameter of src/bectube that the
     rules below cover: AST ``defaults`` plus the non-None ``kw_defaults``,
-    without the test oracles and the defaults only a benchmark reads."""
+    without the defaults only a benchmark reads."""
     found = []
     for path in (ROOT / "src" / "bectube").glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
-            if (not isinstance(fn, ast.FunctionDef)
-                    or fn.name in KEPT_ORACLES):
+            if not isinstance(fn, ast.FunctionDef):
                 continue
             a = fn.args
             pos = [p.arg for p in a.posonlyargs + a.args]

@@ -14,6 +14,7 @@ from scipy.signal import fftconvolve
 from bectube import geometry as geo
 from bectube import scaling as sc
 from bectube import transverse as tv
+from oracles import convolution_defect_cube, convolution_defect_direct
 
 
 def seq(alpha, beta=0.25, n_lo=4, n_hi=64, count=8):
@@ -283,8 +284,29 @@ class TestConvolutionDefect:
     def test_spectral_vs_direct(self):
         w = sc.bump_potential()
         spec = sc.convolution_defect(w, eps=0.8, mu=0.5)
-        direct = sc.convolution_defect_direct(w, eps=0.8, mu=0.5)
+        direct = convolution_defect_direct(w, eps=0.8, mu=0.5)
         assert abs(spec - direct) / direct < 0.3
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.95, 1.05])
+    def test_octant_matches_full_cube(self, sigma):
+        # criterion 7's sweep and the benchmark's: eps = 0.5, mu/eps = 0.2,
+        # 0.1 and 0.05; the fitted rate is the cube's too
+        w = sc.bump_potential()
+        ratios = np.array([0.2, 0.1, 0.05])
+        octant = np.array([sc.convolution_defect(w, 0.5, r * 0.5, sigma=sigma)
+                           for r in ratios])
+        cube = np.array([convolution_defect_cube(w, 0.5, r * 0.5, sigma)
+                         for r in ratios])
+        assert np.max(np.abs(octant - cube) / cube) < 1e-13
+        slopes = [np.polyfit(np.log(ratios), np.log(d), 1)[0]
+                  for d in (octant, cube)]
+        assert abs(slopes[0] - slopes[1]) < 1e-12
+
+    def test_odd_grid_rejected(self):
+        # an odd grid has a point on each coordinate plane, which the
+        # octant would count once instead of in full
+        with pytest.raises(sc.ScalingError, match="even"):
+            sc.convolution_defect(sc.bump_potential(), 0.5, 0.1, n_xi=63)
 
     def test_decreases_with_scale_separation(self):
         w = sc.bump_potential()

@@ -16,6 +16,7 @@ from scipy.special import jn_zeros
 
 from bectube import cli
 from bectube import transverse as tv
+from oracles import masked, overlap_tensor, rayleigh_residual
 
 SQUARE_LCHI2 = 0.14493406684822652
 DISK_E0 = 5.783185962946785
@@ -105,7 +106,7 @@ def _holed_square():
     y = np.linspace(0.0, np.pi, 66)[1:-1]
     mask = np.ones((64, 64), dtype=bool)
     mask[10:22, 16:28] = False
-    return tv.masked(y, y, mask)
+    return masked(y, y, mask)
 
 
 class TestBoundaryFittedSolve:
@@ -130,18 +131,111 @@ class TestBoundaryFittedSolve:
             assert np.max(np.abs(v - ref)) < 1e-10
 
 
+def _centred_hole():
+    """A square with a centred hole: a mask with no levelset that both
+    reflections map onto itself."""
+    y = np.linspace(0.0, np.pi, 66)[1:-1]
+    mask = np.ones((64, 64), dtype=bool)
+    mask[24:40, 24:40] = False
+    return masked(y, y, mask)
+
+
+def one_class_modes(cs, k):
+    """``_shift_invert_modes`` on the full grid, as one class."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tv, "_mirror_axes", lambda cs: ())
+        return tv._shift_invert_modes(cs, k)
+
+
+class TestParityClasses:
+    # the k lowest pairs of the class solve against the one-class solve of
+    # the full grid; k never cuts a degenerate pair, and each class mode
+    # must lie in the oracle's eigenspace of its energy
+    @pytest.mark.parametrize("cs, k, axes", [
+        *[(tv.disk(r, n=n), 3, (0, 1)) for n in (127, 128)
+          for r in (0.98, 1.0, 1.02)],
+        (tv.ellipse(1.5, 1.0, n=64), 4, (0,)),
+        (_centred_hole(), 4, (0, 1)),
+    ], ids=[f"disk{r}_n{n}" for n in (127, 128) for r in (0.98, 1.0, 1.02)]
+        + ["ellipse", "centred_hole"])
+    def test_matches_one_class_solve(self, cs, k, axes):
+        assert tv._mirror_axes(cs) == axes
+        vals, vecs = tv._shift_invert_modes(cs, k)
+        ref_vals, ref_vecs = one_class_modes(cs, k)
+        assert np.max(np.abs(vals - ref_vals) / ref_vals) < 1e-12
+        for E, v in zip(vals, vecs.T):
+            space = ref_vecs[:, np.abs(ref_vals - E) < 1e-8 * E]
+            coef = np.linalg.lstsq(space, v, rcond=None)[0]
+            assert np.linalg.norm(space @ coef - v) < 1e-9 * np.linalg.norm(v)
+
+    @pytest.mark.parametrize("n", [127, 128])
+    @pytest.mark.parametrize("r", [0.98, 1.0, 1.02])
+    def test_centred_grid_is_its_own_mirror_image(self, r, n):
+        cs = tv.disk(r, n=n)
+        assert np.array_equal(cs.y1, -cs.y1[::-1])
+        assert np.array_equal(cs.y2, -cs.y2[::-1])
+        # the nodes r (2k/(n+1) - 1), off by at most about one ulp of r
+        old = -r + 2 * r / (n + 1) * np.arange(1, n + 1)
+        assert np.max(np.abs(cs.y1 - old)) <= 2 * np.spacing(r)
+
+    def test_unit_disk_grid_is_unchanged(self):
+        assert np.array_equal(tv.disk(1.0, n=127).y1,
+                              -1.0 + (2.0 / 128) * np.arange(1, 128))
+
+    def test_off_centre_ellipse_axis_does_not_split(self):
+        cs = tv.ellipse(1.5, 1.0, n=64)
+        # 2 b / h is not a whole number, so the second axis is laid out
+        # from -b and is no mirror image of itself
+        assert not np.array_equal(cs.y2, -cs.y2[::-1])
+        assert tv._mirror_axes(cs) == (0,)
+
+    @pytest.mark.parametrize("cs", [
+        _holed_square(),
+        tv.rectangle(2.0, 1.0, n=63,
+                     vperp=lambda y1, y2: 4.0 * (y1 - 0.7) ** 2 + y2),
+    ], ids=["off_centre_hole", "varying_vperp"])
+    def test_no_mirror_axis_is_one_class(self, cs):
+        assert tv._mirror_axes(cs) == ()
+        vals, vecs = tv._shift_invert_modes(cs, 3)
+        ref_vals, ref_vecs = one_class_modes(cs, 3)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
+
+    def test_disk_chi1_has_a_definite_parity(self):
+        # the J1 pair splits into the classes eo and oe; the tie goes to
+        # eo, even in y1 and odd in y2
+        chi1 = tv.dirichlet_modes(tv.disk(1.0, n=127), m=2).chi[1]
+        scale = np.max(np.abs(chi1))
+        assert np.max(np.abs(chi1 - chi1[::-1, :])) <= 1e-13 * scale
+        assert np.max(np.abs(chi1 + chi1[:, ::-1])) <= 1e-13 * scale
+
+    def test_disk_solves_only_the_pairs_it_needs(self, monkeypatch):
+        # E0 and the J2 level in ee, one J1 partner each in eo and oe, one
+        # J2 partner in oo: the third lowest is the J1 partner
+        wanted = []
+        pairs = tv._Arnoldi.pairs
+
+        def counting(self, k):
+            wanted.append((self, k))
+            return pairs(self, k)
+
+        monkeypatch.setattr(tv._Arnoldi, "pairs", counting)
+        tv._shift_invert_modes(tv.disk(0.98, n=127), 3)
+        last = {id(a): k for a, k in wanted}
+        assert list(last.values()) == [2, 1, 1, 1]
+
+
 class TestShiftInvertArnoldi:
     def test_disk_finds_both_vectors_of_the_j1_pair(self):
-        # an unrestarted Krylov space holds one vector per eigenspace that
-        # its start vector reaches; m = 2 solves for 3 pairs, and the third
-        # must be the J1 partner, not the J2 level
+        # m = 2 solves for 3 pairs, and the third must be the J1 partner,
+        # not the J2 level
         vals, _ = tv._shift_invert_modes(tv.disk(1.0, n=127), 3)
         assert abs(vals[2] - vals[1]) < 1e-10 * vals[1]
         assert vals[1] > 2.0 * vals[0]
 
     def test_unconverged_solve_is_refused(self, tmp_path, monkeypatch):
-        # the disk needs about 30 steps; 4 per wanted pair do not suffice,
-        # and the modes are refused rather than returned unconverged
+        # a parity class of the disk needs about 11 to 18 steps; 4 per
+        # wanted pair do not suffice, and the modes are refused rather than
+        # returned unconverged
         monkeypatch.setattr(tv, "_ARNOLDI_STEPS", 0)
         with pytest.raises(tv.CrossSectionError, match="did not converge"):
             tv.dirichlet_modes(tv.disk(1.0, n=63), m=2)
@@ -155,7 +249,7 @@ class TestShiftInvertArnoldi:
     def test_operator_without_dominant_eigenvalues_is_refused(self):
         # every eigenvalue of a cyclic shift has modulus 1
         with pytest.raises(tv.CrossSectionError, match="did not converge"):
-            tv._arnoldi(lambda x: np.roll(x, 1), 500, 3)
+            tv._Arnoldi(lambda x: np.roll(x, 1), 500, 3).pairs(3)
 
 
 class TestProductModes:
@@ -182,7 +276,7 @@ class TestProductModes:
             v = v / np.linalg.norm(v)
             space = vecs[:, np.abs(vals - E) < 1e-8 * E]
             assert np.linalg.norm(space.T @ v) >= 1 - 1e-10
-        assert tv.rayleigh_residual(modes) < 1e-10
+        assert rayleigh_residual(modes) < 1e-10
 
     def test_square_second_mode_is_1_2(self, rect_pi):
         # even under y1 -> pi - y1, odd under y2 -> pi - y2
@@ -203,7 +297,7 @@ class TestProductModes:
         mask = np.ones((49, 49), dtype=bool)
         mask[20:29, 20:29] = False
         with pytest.raises(AssertionError, match="splu"):
-            tv.dirichlet_modes(tv.masked(y, y, mask), m=1)
+            tv.dirichlet_modes(masked(y, y, mask), m=1)
 
 
 class TestAngularMomentumNorm:
@@ -253,14 +347,14 @@ class TestAngularMomentumNorm:
 
 class TestOverlapTensor:
     def test_symmetry_and_diagonal(self, rect_pi):
-        O = tv.overlap_tensor(rect_pi)
+        O = overlap_tensor(rect_pi)
         assert O.shape == (2, 2, 2, 2)
         assert np.isclose(O[0, 0, 0, 0], rect_pi.q4)
         for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (3, 2, 1, 0)):
             assert np.allclose(O, np.transpose(O, perm), atol=1e-12)
 
     def test_positive_diagonal(self, rect_pi):
-        O = tv.overlap_tensor(rect_pi)
+        O = overlap_tensor(rect_pi)
         assert O[0, 0, 0, 0] > 0 and O[1, 1, 1, 1] > 0
 
 
@@ -288,13 +382,13 @@ class TestSolverInterface:
 
     def test_rayleigh_residual_small(self):
         m = tv.dirichlet_modes(tv.rectangle(1.0, 1.0, n=63), m=2)
-        assert tv.rayleigh_residual(m) < 1e-6
+        assert rayleigh_residual(m) < 1e-6
 
     def test_masked_builder(self):
         y = np.linspace(0.02, 0.98, 49)
         mask = np.ones((49, 49), dtype=bool)
         mask[20:29, 20:29] = False  # square with a hole
-        cs = tv.masked(y, y, mask)
+        cs = masked(y, y, mask)
         m = tv.dirichlet_modes(cs, m=1)
         # hole raises the ground energy above the plain square value
         assert m.e0 > 2 * np.pi**2
